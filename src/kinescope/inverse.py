@@ -27,11 +27,6 @@ from .geometry import TWO_PI, polygon_envelope, regular_ngon
 # survives serialization.
 CIRCLE = "CIRCLE"
 
-# Default circle gate, matched to side_count's n_max default of 64:
-# an image is called a circle when (M - m) < TOL_CIRCLE * M, i.e. when
-# m/M > cos(pi/64).
-TOL_CIRCLE = 1.0 - math.cos(math.pi / 64.0)
-
 # Relative slack when comparing the even score against the best shifted
 # score.  Large enough that measurement noise on a genuinely even image
 # cannot push the shifted minimum below the unshifted score, small enough
@@ -41,8 +36,6 @@ EPS_PARITY = 1e-3
 
 # Below this absolute size the image is considered flat zero.
 DEGENERATE_EPS = 1e-12
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -128,8 +121,12 @@ def extremes(img: KinematicImage) -> tuple[float, float, float]:
     return m, big, midline
 
 
-def _raw_side_count(m: float, M: float) -> float:
-    ratio = min(max(m / M, -1.0), 1.0)
+def _ratio(m: float, M: float) -> float:
+    """m/M clamped to [-1, 1], so that arccos never sees rounding overshoot."""
+    return min(max(m / M, -1.0), 1.0)
+
+
+def _raw_side_count(ratio: float) -> float:
     if ratio >= 1.0:
         return math.inf
     return math.pi / math.acos(ratio)
@@ -148,14 +145,14 @@ def side_count(m: float, M: float, n_max: int = 64):
         raise ValueError("m must not exceed M")
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    ratio = min(max(m / M, -1.0), 1.0)
+    ratio = _ratio(m, M)
     if ratio > math.cos(math.pi / n_max):
         return CIRCLE
-    return int(round(math.pi / math.acos(ratio)))
+    return int(round(_raw_side_count(ratio)))
 
 
-def _interior_maxima(img: KinematicImage) -> tuple[np.ndarray, np.ndarray]:
-    """Refined (z, value) of each maximum of the upper curve.
+def _interior_maxima(img: KinematicImage) -> np.ndarray:
+    """Refined z of each maximum of the upper curve.
 
     A maximum is the peak of an excursion above 75% of the curve's band.
     The excursion only ends once the curve drops below 50% of the band:
@@ -183,15 +180,13 @@ def _interior_maxima(img: KinematicImage) -> tuple[np.ndarray, np.ndarray]:
             start = None
     if start is not None:
         runs.append((start, len(ys) - 1))
-    peaks_z, peaks_y = [], []
+    peaks_z = []
     for i0, i1 in runs:
         if i0 == 0 or i1 == len(ys) - 1:
             continue
         k = i0 + int(np.argmax(ys[i0 : i1 + 1]))
-        zz, yy = _parabolic_refine(z, ys, k)
-        peaks_z.append(zz)
-        peaks_y.append(yy)
-    return np.asarray(peaks_z), np.asarray(peaks_y)
+        peaks_z.append(_parabolic_refine(z, ys, k)[0])
+    return np.asarray(peaks_z)
 
 
 def period_estimate(img: KinematicImage, warnings: Optional[list] = None) -> float:
@@ -202,7 +197,10 @@ def period_estimate(img: KinematicImage, warnings: Optional[list] = None) -> flo
     appended to ``warnings`` (if given): either the motion was not
     constant or the record is noisy, and the mean is then only a summary.
     """
-    peaks_z, _ = _interior_maxima(img)
+    return _period(_interior_maxima(img), warnings)
+
+
+def _period(peaks_z: np.ndarray, warnings: Optional[list]) -> float:
     if len(peaks_z) < 2:
         raise InsufficientData(
             f"found {len(peaks_z)} interior maxima; need at least 2 to measure a period"
@@ -219,41 +217,29 @@ def period_estimate(img: KinematicImage, warnings: Optional[list] = None) -> flo
     return period
 
 
-def _golden_min(f, a: float, b: float, iters: int = 48) -> float:
-    """Minimum value of a unimodal f on [a, b] by golden-section search."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return min(fc, fd)
-
-
-def parity_test(img: KinematicImage, tol_circle: Optional[float] = None) -> str:
+def parity_test(img: KinematicImage) -> str:
     """Classify the image as even, odd, or circle.
 
-    Mirror-symmetric upper/lower curves mean an even side count; curves
-    that only match after sliding the upper one by half its period mean
-    an odd count.  The shifted comparison scans a window around T/2 and
-    polishes the best offset with golden-section search; offsets near 0
-    or T are never tried, since a whole-period slide is the unshifted
-    comparison again (and on noisy data would beat it spuriously, because
-    interpolation averages the noise down).  The unshifted score wins
-    ties within EPS_PARITY relative.
+    The image is a circle when ``side_count`` (at its default n_max)
+    calls it one.  Otherwise mirror-symmetric upper/lower curves mean an
+    even side count; curves that only match after sliding the upper one
+    by half its period mean an odd count.  The shifted comparison scans
+    a window around T/2 and polishes the best offset with scipy's bounded
+    scalar minimizer; offsets near 0 or T are never tried, since a
+    whole-period slide is the unshifted comparison again (and on noisy
+    data would beat it spuriously, because interpolation averages the
+    noise down).  The unshifted score wins ties within EPS_PARITY
+    relative.
     """
     m, M, midline = extremes(img)
-    if tol_circle is None:
-        tol_circle = TOL_CIRCLE
-    if (M - m) < tol_circle * M:
+    if m > 0 and side_count(m, M) == CIRCLE:
         return "circle"
-    period = period_estimate(img)
+    return _parity(img, midline, period_estimate(img))
+
+
+def _parity(img: KinematicImage, midline: float, period: float) -> str:
+    from scipy.optimize import minimize_scalar
+
     z = img.z
     ysc = img.y_s - midline
     yic = img.y_i - midline
@@ -271,64 +257,51 @@ def parity_test(img: KinematicImage, tol_circle: Optional[float] = None) -> str:
     offsets = period * (0.5 + (np.arange(17) - 8) / 128.0)
     scores = np.array([shifted_rms(d) for d in offsets])
     j = int(np.argmin(scores))
-    a = float(offsets[max(j - 1, 0)])
-    b = float(offsets[min(j + 1, len(offsets) - 1)])
-    s_odd = min(_golden_min(shifted_rms, a, b), float(scores[j]))
+    bounds = (float(offsets[max(j - 1, 0)]), float(offsets[min(j + 1, len(offsets) - 1)]))
+    polished = minimize_scalar(shifted_rms, bounds=bounds, method="bounded")
+    s_odd = min(float(polished.fun), float(scores[j]))
     return "even" if s_even <= s_odd * (1.0 + EPS_PARITY) else "odd"
 
 
 def _aligned_residual(
-    img: KinematicImage, n: int, M: float, midline: float, omega_over_v: float
+    img: KinematicImage, n: int, M: float, midline: float, omega_over_v: float, peaks_z: np.ndarray
 ) -> float:
     """RMS gap between the upper curve and a re-synthesized n-gon envelope.
 
-    The synthetic envelope's phase is free, so it is aligned first by
-    maximizing the cross-correlation over one envelope period, scanned at
-    the sample resolution and refined with a parabola through the best
-    three correlation values.  The scan uses a dense lookup table; the
-    final residual re-evaluates the envelope exactly at the aligned phase.
+    The synthetic envelope's phase is free.  Each maximum of the upper
+    curve is an angle at which a vertex points straight up, where
+    theta + phi = pi/n modulo the sector 2*pi/n; the circular mean of
+    those phases is the starting phase, which scipy's bounded scalar
+    minimizer polishes within a fiftieth of a sector.
     """
+    from scipy.optimize import minimize_scalar
+
     poly = regular_ngon(n, M)
-    z = img.z
     ysc = img.y_s - midline
-    theta = omega_over_v * (z - z[0])
+    theta = omega_over_v * (img.z - img.z[0])
     sector = TWO_PI / n
 
-    dtheta = omega_over_v * float(np.median(np.diff(z)))
-    n_phi = int(min(max(8, math.ceil(sector / max(dtheta, 1e-12))), 65536))
-    phis = sector * np.arange(n_phi) / n_phi
+    def gap(phi: float) -> float:
+        env, _, _, _ = polygon_envelope(poly, theta + phi)
+        return _rms(ysc - env)
 
-    table_n = 4 * n_phi
-    tgrid = sector * np.arange(table_n + 1) / table_n
-    tvals, _, _, _ = polygon_envelope(poly, tgrid)
-    thm = np.mod(theta, sector)
-    scores = np.empty(n_phi)
-    for k, phi in enumerate(phis):
-        env = np.interp(np.mod(thm + phi, sector), tgrid, tvals)
-        scores[k] = float(np.dot(ysc, env))
-
-    j = int(np.argmax(scores))
-    c0 = float(scores[(j - 1) % n_phi])
-    c1 = float(scores[j])
-    c2 = float(scores[(j + 1) % n_phi])
-    denom = c0 - 2.0 * c1 + c2
-    delta = 0.0 if denom == 0.0 else 0.5 * (c0 - c2) / denom
-    if not -1.0 <= delta <= 1.0:
-        delta = 0.0
-    phi_star = float(phis[j]) + delta * sector / n_phi
-
-    env, _, _, _ = polygon_envelope(poly, theta + phi_star)
-    return _rms(ysc - env)
+    peak_theta = omega_over_v * (peaks_z - img.z[0])
+    # n * (pi/n - theta) wraps the sector once around the unit circle.
+    phi0 = float(np.angle(np.mean(np.exp(1j * (math.pi - n * peak_theta))))) / n
+    polished = minimize_scalar(gap, bounds=(phi0 - sector / 50, phi0 + sector / 50), method="bounded")
+    return float(polished.fun)
 
 
 def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
     """Full identification pipeline for a centred regular polygon or circle.
 
-    Steps: extremes and midline, parity, side count, motion ratio from
-    the maxima period, then a phase-aligned residual against the implied
-    polygon.  Degenerate or too-short images raise; model mismatches that
-    can still be summarized (large midline, parity disagreeing with n)
-    come back as warnings on the report instead.
+    One pass: the extremes and midline come first and settle the side
+    count (or CIRCLE); for a polygon the maxima of the upper curve are
+    found once and give the period, hence the motion ratio, and the
+    phase of the residual against the implied polygon; the parity test
+    reuses the midline and period.  Degenerate or too-short images raise;
+    model mismatches that can still be summarized (large midline, parity
+    disagreeing with n) come back as warnings on the report instead.
     """
     warnings: list[str] = []
     m, M, midline = extremes(img)
@@ -336,16 +309,16 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
         warnings.append(
             f"midline {midline:.6g} exceeds 1e-6 of M; the pole may not be the centroid"
         )
-    parity = parity_test(img, tol_circle=1.0 - math.cos(math.pi / n_max))
     if not m > 0:
         raise InsufficientData(
             "upper curve dips below the midline (m <= 0); "
             "this is not the image of a centred regular polygon"
         )
     n = side_count(m, M, n_max=n_max)
-    n_raw = _raw_side_count(m, M)
+    n_raw = _raw_side_count(_ratio(m, M))
 
     if n == CIRCLE:
+        parity = "circle"
         omega_over_v = math.nan
         residual = _rms(img.y_s - (midline + M))
     else:
@@ -354,9 +327,11 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
                 f"side-count formula gave {n}; clamped to 3 (m/M is below the triangle ratio)"
             )
             n = 3
-        period = period_estimate(img, warnings)
+        peaks_z = _interior_maxima(img)
+        period = _period(peaks_z, warnings)
+        parity = _parity(img, midline, period)
         omega_over_v = TWO_PI / (n * period)
-        residual = _aligned_residual(img, n, M, midline, omega_over_v)
+        residual = _aligned_residual(img, n, M, midline, omega_over_v, peaks_z)
         want = "even" if n % 2 == 0 else "odd"
         if parity != want:
             warnings.append(f"parity test says {parity} but a {n}-gon is {want}")

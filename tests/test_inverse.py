@@ -12,6 +12,7 @@ from kinescope import (
     TimeGrid,
     extremes,
     identify,
+    inverse,
     parity_test,
     period_estimate,
     regular_ngon,
@@ -148,6 +149,35 @@ def test_identify_triangle():
     assert rep.parity == "odd"
     assert abs(rep.omega_over_v - 0.5) < 1e-6
     assert rep.residual < 1e-8
+
+
+@pytest.mark.parametrize("spp", [8, 16])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_identify_residual_at_rounding_on_cusp_grid(n, spp):
+    # 3 rotations sampled spp times per side from theta = 0: every
+    # envelope cusp lands on a sample, so M is exact and so is the fit
+    img = trace(
+        regular_ngon(n, 1.3),
+        MotionProfile(0.7, 1.0),
+        TimeGrid(duration=3 * TWO_PI / 0.7, samples=3 * n * spp + 1),
+    )
+    rep = identify(img)
+    assert rep.n == n
+    assert rep.residual <= 1e-9 * rep.circumradius_M
+
+
+def test_identify_extracts_features_once(monkeypatch):
+    calls = {"extremes": 0, "_interior_maxima": 0}
+    for name in calls:
+        original = getattr(inverse, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, name, counted)
+    assert identify(ngon_image(5, samples=2048)).n == 5
+    assert calls == {"extremes": 1, "_interior_maxima": 1}
 
 
 def test_identify_circle():
