@@ -12,16 +12,13 @@ from .errors import ConvexityViolation, DegenerateImage, InsufficientData, Misma
 from .geometry import (
     ConvexPolygon,
     SmoothContour,
-    TangencyPair,
     contour_point,
     contour_tangent,
-    height,
     is_convex,
     polygon_envelope,
     reduce_angle,
     regular_ngon,
     rot_proj,
-    rotate,
     support_heights,
     tangency_roots,
 )
@@ -52,14 +49,12 @@ __all__ = [
     "MismatchedCase",
     "MotionProfile",
     "SmoothContour",
-    "TangencyPair",
     "TimeGrid",
     "closed_form",
     "contour_point",
     "contour_tangent",
     "extremes",
     "format_report",
-    "height",
     "identify",
     "integrate",
     "is_convex",
@@ -71,7 +66,6 @@ __all__ = [
     "reduce_angle",
     "regular_ngon",
     "rot_proj",
-    "rotate",
     "side_count",
     "support_heights",
     "tangency_roots",

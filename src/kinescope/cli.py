@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,17 +23,14 @@ from .direct import ClosedFormCase, trace, oracle_check
 from .errors import ConvexityViolation, DegenerateImage, InsufficientData
 from .geometry import (
     TWO_PI,
-    ConvexPolygon,
     Shape,
     SmoothContour,
     regular_ngon,
     support_heights,
 )
 from .inverse import identify
-from .io import format_report, read_trace_csv, write_svg, write_trace_csv
-from .motion import MotionProfile, TimeGrid
-
-COMMANDS = ("direct", "inverse", "render", "check")
+from .io import _read_table, format_report, read_trace_csv, write_svg, write_trace_csv
+from .motion import MotionProfile, TimeGrid, integrate
 
 CHECK_CASES = (
     "circle-center",
@@ -45,26 +42,6 @@ CHECK_CASES = (
     "pole-invariance",
     "roundtrip",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated command plus its flag values."""
-
-    command: str
-    args: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"command must be one of {COMMANDS}, got {self.command!r}")
-        need = {"direct": ["out"], "inverse": ["inp"], "render": ["inp", "svg"]}.get(self.command, [])
-        for key in need:
-            if not self.args.get(key):
-                flag = "--in" if key == "inp" else f"--{key}"
-                raise ValueError(f"{self.command} requires {flag}")
-
-    def __getitem__(self, key: str) -> Any:
-        return self.args[key]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,90 +119,68 @@ def _read_pairs(path: str, flag: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _read_polar_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise ValueError(f"--polar-file: cannot read {path}: {exc}") from None
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or [f.strip() for f in lines[0].split(",")] != ["beta", "r"]:
-        raise ValueError(f"--polar-file: {path}: expected header 'beta,r'")
-    beta, r = [], []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        parts = [f.strip() for f in ln.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"--polar-file: {path}:{ln_no}: expected 'beta,r' pair")
-        try:
-            beta.append(float(parts[0]))
-            r.append(float(parts[1]))
-        except ValueError:
-            raise ValueError(f"--polar-file: {path}:{ln_no}: non-numeric entry") from None
-    return np.array(beta), np.array(r)
-
-
-def _pole_offset(cfg: RunConfig, default: tuple[float, float]) -> np.ndarray:
+def _pole_offset(ns: argparse.Namespace, default: tuple[float, float]) -> np.ndarray:
     x, y = default
-    if cfg["pole_x"] is not None:
-        x = cfg["pole_x"]
-    if cfg["pole_y"] is not None:
-        y = cfg["pole_y"]
+    if ns.pole_x is not None:
+        x = ns.pole_x
+    if ns.pole_y is not None:
+        y = ns.pole_y
     return np.array([x, y])
 
 
-def _build_shape(cfg: RunConfig) -> Shape:
-    kind = cfg["shape"]
+def _build_shape(ns: argparse.Namespace) -> Shape:
+    kind = ns.shape
     if kind == "circle":
-        if cfg["radius"] is None or not cfg["radius"] > 0:
+        if ns.radius is None or not ns.radius > 0:
             raise ValueError("--radius must be given and positive for --shape circle")
-        default = (cfg["radius"], 0.0) if cfg["pole"] == "rim" else (0.0, 0.0)
-        return SmoothContour.circle(cfg["radius"], _pole_offset(cfg, default))
-    if cfg["pole"] == "rim":
+        default = (ns.radius, 0.0) if ns.pole == "rim" else (0.0, 0.0)
+        return SmoothContour.circle(ns.radius, _pole_offset(ns, default))
+    if ns.pole == "rim":
         raise ValueError("--pole rim only applies to --shape circle")
     if kind == "ellipse":
-        if cfg["a"] is None or cfg["b"] is None:
+        if ns.a is None or ns.b is None:
             raise ValueError("--a and --b are required for --shape ellipse")
-        return SmoothContour.ellipse(cfg["a"], cfg["b"], _pole_offset(cfg, (0.0, 0.0)))
+        return SmoothContour.ellipse(ns.a, ns.b, _pole_offset(ns, (0.0, 0.0)))
     if kind == "ngon":
-        n = cfg["sides"]
-        if n is None:
-            raise ValueError("--sides is required for --shape ngon")
-        side, circ = cfg["side_length"], cfg["circumradius"]
+        n = ns.sides
+        if n is None or n < 3:
+            raise ValueError("--sides of at least 3 is required for --shape ngon")
+        side, circ = ns.side_length, ns.circumradius
         if (side is None) == (circ is None):
             raise ValueError("give exactly one of --side-length or --circumradius")
         if circ is None:
             if not side > 0:
                 raise ValueError("--side-length must be positive")
             circ = side / (2.0 * math.sin(math.pi / n))
-        ngon = regular_ngon(n, circ)
-        offset = _pole_offset(cfg, (0.0, 0.0))
-        if np.any(offset != 0.0):
-            return ConvexPolygon(ngon.vertices, offset)
-        return ngon
-    if cfg["polar_file"] is None:
+        return replace(regular_ngon(n, circ), pole_offset=_pole_offset(ns, (0.0, 0.0)))
+    if ns.polar_file is None:
         raise ValueError("--polar-file is required for --shape polar")
-    beta, r = _read_polar_csv(cfg["polar_file"])
-    return SmoothContour.from_polar(beta, r, _pole_offset(cfg, (0.0, 0.0)))
-
-
-def _build_profile(cfg: RunConfig) -> MotionProfile:
-    omega = _read_pairs(cfg["omega_file"], "--omega-file") if cfg["omega_file"] else cfg["omega"]
-    speed = _read_pairs(cfg["speed_file"], "--speed-file") if cfg["speed_file"] else cfg["speed"]
     try:
-        return MotionProfile(omega=omega, film_speed=speed, theta0=cfg["theta0"])
+        beta, r = _read_table(ns.polar_file, "beta,r")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--polar-file: {exc}") from None
+    return SmoothContour.from_polar(beta, r, _pole_offset(ns, (0.0, 0.0)))
+
+
+def _build_profile(ns: argparse.Namespace) -> MotionProfile:
+    omega = _read_pairs(ns.omega_file, "--omega-file") if ns.omega_file else ns.omega
+    speed = _read_pairs(ns.speed_file, "--speed-file") if ns.speed_file else ns.speed
+    try:
+        return MotionProfile(omega=omega, film_speed=speed, theta0=ns.theta0)
     except ValueError as exc:
         raise ValueError(f"--omega/--speed: {exc}") from None
 
 
-def _build_grid(cfg: RunConfig, profile: MotionProfile) -> TimeGrid:
-    periods, duration = cfg["periods"], cfg["duration"]
+def _build_grid(ns: argparse.Namespace, profile: MotionProfile) -> TimeGrid:
+    periods, duration = ns.periods, ns.duration
     if (periods is None) and (duration is None):
         periods = 1.0
     if (periods is not None) and (duration is not None):
         raise ValueError("give only one of --periods or --duration")
     if periods is not None:
-        if cfg["omega_file"]:
+        if ns.omega_file:
             raise ValueError("--periods needs a constant --omega; use --duration instead")
-        omega = cfg["omega"]
+        omega = ns.omega
         if omega == 0.0:
             raise ValueError("--periods is undefined for --omega 0; use --duration")
         if not periods > 0:
@@ -235,39 +190,42 @@ def _build_grid(cfg: RunConfig, profile: MotionProfile) -> TimeGrid:
     else:
         if not duration > 0:
             raise ValueError("--duration must be positive")
-        rotations = max(1.0, abs(cfg["omega"]) * duration / TWO_PI)
-    samples = cfg["samples"]
+        # Rotations are counted as the integral of |omega| over the record.
+        rates = [(t, abs(w)) for t, w in profile.omega] if ns.omega_file else abs(ns.omega)
+        turned, _ = integrate(MotionProfile(omega=rates), duration)
+        rotations = max(1.0, turned / TWO_PI)
+    samples = ns.samples
     if samples is None:
         samples = max(2, int(round(1024 * rotations)))
     return TimeGrid(duration=duration, samples=samples)
 
 
-def cmd_direct(cfg: RunConfig) -> int:
+def cmd_direct(ns: argparse.Namespace) -> int:
     """Build shape, motion, and grid from flags; trace; write CSV/SVG."""
-    shape = _build_shape(cfg)
-    profile = _build_profile(cfg)
-    grid = _build_grid(cfg, profile)
+    shape = _build_shape(ns)
+    profile = _build_profile(ns)
+    grid = _build_grid(ns, profile)
     img = trace(shape, profile, grid)
-    write_trace_csv(img, cfg["out"])
-    if cfg.args.get("svg"):
-        write_svg(img, cfg["svg"])
+    write_trace_csv(img, ns.out)
+    if ns.svg:
+        write_svg(img, ns.svg)
     return 0
 
 
-def cmd_inverse(cfg: RunConfig) -> int:
+def cmd_inverse(ns: argparse.Namespace) -> int:
     """Identify the polygon behind a trace CSV; print n, optionally report."""
-    img = read_trace_csv(cfg["inp"])
-    rep = identify(img, n_max=cfg["n_max"])
+    img = read_trace_csv(ns.inp)
+    rep = identify(img, n_max=ns.n_max)
     print(f"n={rep.n}")
-    if cfg.args.get("report"):
-        Path(cfg["report"]).write_text(format_report(rep), encoding="ascii")
+    if ns.report:
+        Path(ns.report).write_text(format_report(rep), encoding="ascii")
     return 0
 
 
-def cmd_render(cfg: RunConfig) -> int:
+def cmd_render(ns: argparse.Namespace) -> int:
     """Replot an existing trace CSV as an SVG."""
-    img = read_trace_csv(cfg["inp"])
-    write_svg(img, cfg["svg"])
+    img = read_trace_csv(ns.inp)
+    write_svg(img, ns.svg)
     return 0
 
 
@@ -290,40 +248,30 @@ def _random_test_shapes(rng: np.random.Generator, count: int) -> list[Shape]:
     return shapes
 
 
-def _with_pole(shape: Shape, offset: np.ndarray) -> Shape:
-    if isinstance(shape, ConvexPolygon):
-        return ConvexPolygon(shape.vertices, offset)
-    return SmoothContour(
-        kind=shape.kind, a=shape.a, b=shape.b, pole_offset=offset,
-        _r=shape._r, _beta0=shape._beta0,
-    )
-
-
-def _check_reflection(cfg: RunConfig) -> tuple[bool, str]:
+def _check_reflection() -> tuple[bool, str]:
     rng = np.random.default_rng(0)
     worst = 0.0
     for shape in _random_test_shapes(rng, 12):
-        for th in rng.uniform(0.0, TWO_PI, 24):
-            ys_pi, _ = support_heights(shape, th + math.pi)
-            _, yi = support_heights(shape, th)
-            worst = max(worst, abs(yi + ys_pi))
+        th = rng.uniform(0.0, TWO_PI, 24)
+        ys_pi, _ = support_heights(shape, th + math.pi)
+        _, yi = support_heights(shape, th)
+        worst = max(worst, float(np.max(np.abs(yi + ys_pi))))
     return worst <= 1e-10, f"max |Y_i(t) + Y_s(t+pi)| = {worst:.3e} (tol 1e-10)"
 
 
-def _check_pole_invariance(cfg: RunConfig) -> tuple[bool, str]:
+def _check_pole_invariance() -> tuple[bool, str]:
     rng = np.random.default_rng(1)
     worst = 0.0
     for shape in _random_test_shapes(rng, 12):
-        offset = rng.uniform(-10.0, 10.0, size=2)
-        moved = _with_pole(shape, offset)
-        for th in rng.uniform(0.0, TWO_PI, 16):
-            ys0, yi0 = support_heights(shape, th)
-            ys1, yi1 = support_heights(moved, th)
-            worst = max(worst, abs((ys1 - yi1) - (ys0 - yi0)))
+        moved = replace(shape, pole_offset=rng.uniform(-10.0, 10.0, size=2))
+        th = rng.uniform(0.0, TWO_PI, 16)
+        ys0, yi0 = support_heights(shape, th)
+        ys1, yi1 = support_heights(moved, th)
+        worst = max(worst, float(np.max(np.abs((ys1 - yi1) - (ys0 - yi0)))))
     return worst <= 1e-9, f"max width deviation under pole moves = {worst:.3e} (tol 1e-9)"
 
 
-def _check_roundtrip(cfg: RunConfig) -> tuple[bool, str]:
+def _check_roundtrip() -> tuple[bool, str]:
     worst_rel = 0.0
     for n in range(3, 9):
         radius = 1.0 + 0.1 * n
@@ -336,9 +284,9 @@ def _check_roundtrip(cfg: RunConfig) -> tuple[bool, str]:
     return worst_rel <= 1e-4, f"n=3..8 exact; max |M-R|/R = {worst_rel:.3e} (tol 1e-4)"
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(ns: argparse.Namespace) -> int:
     """Run verification cases; print one PASS/FAIL line each."""
-    radius, a, b, side = cfg["radius"], cfg["a"], cfg["b"], cfg["side"]
+    radius, a, b, side = ns.radius, ns.a, ns.b, ns.side
     suite = {
         "circle-center": lambda: _check_closed_form(
             SmoothContour.circle(radius),
@@ -355,11 +303,11 @@ def cmd_check(cfg: RunConfig) -> int:
         "triangle": lambda: _check_closed_form(
             regular_ngon(3, side * math.sqrt(3.0) / 3.0),
             ClosedFormCase.triangle_center(side), 1e-12),
-        "reflection": lambda: _check_reflection(cfg),
-        "pole-invariance": lambda: _check_pole_invariance(cfg),
-        "roundtrip": lambda: _check_roundtrip(cfg),
+        "reflection": _check_reflection,
+        "pole-invariance": _check_pole_invariance,
+        "roundtrip": _check_roundtrip,
     }
-    names = [cfg["case"]] if cfg.args.get("case") else list(CHECK_CASES)
+    names = [ns.case] if ns.case else list(CHECK_CASES)
     failures = 0
     for name in names:
         ok, detail = suite[name]()
@@ -377,14 +325,13 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(command=ns.command, args=vars(ns))
         handler = {
             "direct": cmd_direct,
             "inverse": cmd_inverse,
             "render": cmd_render,
             "check": cmd_check,
-        }[cfg.command]
-        return handler(cfg)
+        }[ns.command]
+        return handler(ns)
     except ConvexityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,12 +1,12 @@
 """Trace synthesis and the worked closed-form solutions.
 
 ``trace`` drives the generic machinery: integrate the motion, then query
-the support heights at each sampled angle.  ``closed_form`` evaluates the
-five cases that admit explicit formulas (circle about its centre, circle
-about a rim point, centred ellipse, centred square, centred equilateral
-triangle); ``oracle_check`` pits the generic path against those formulas
-and reports the worst disagreement, which is the main validation tool of
-the whole package.
+the support heights at all sampled angles in one call.  ``closed_form``
+evaluates the five cases that admit explicit formulas (circle about its
+centre, circle about a rim point, centred ellipse, centred square,
+centred equilateral triangle); ``oracle_check`` pits the generic path
+against those formulas and reports the worst disagreement, which is the
+main validation tool of the whole package.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .geometry import (
     ConvexPolygon,
     Shape,
     SmoothContour,
-    polygon_envelope,
     reduce_angle,
     regular_ngon,
     support_heights,
@@ -131,13 +130,7 @@ def trace(shape: Shape, m: MotionProfile, grid: TimeGrid) -> KinematicImage:
     """
     t = grid.times()
     theta, z = integrate(m, t)
-    if isinstance(shape, ConvexPolygon):
-        ys, yi, _, _ = polygon_envelope(shape, theta)
-    else:
-        ys = np.empty_like(theta)
-        yi = np.empty_like(theta)
-        for k, th in enumerate(theta):
-            ys[k], yi[k] = support_heights(shape, float(th))
+    ys, yi = support_heights(shape, theta)
     meta = {"shape": _describe(shape), "profile": m, "grid": grid}
     return KinematicImage(z=z, y_s=ys, y_i=yi, meta=meta)
 
@@ -253,9 +246,6 @@ def oracle_check(shape: Shape, case: ClosedFormCase, n_theta: int = 1000) -> flo
     if not _case_matches(shape, case):
         raise MismatchedCase(f"shape {_describe(shape)} does not match case {case.variant}")
     thetas = TWO_PI * np.arange(n_theta) / n_theta
-    worst = 0.0
-    for th in thetas:
-        ys, yi = support_heights(shape, float(th))
-        cs, ci = closed_form(case, float(th))
-        worst = max(worst, abs(ys - cs), abs(yi - ci))
-    return worst
+    ys, yi = support_heights(shape, thetas)
+    cs, ci = closed_form(case, thetas)
+    return float(max(np.max(np.abs(ys - cs)), np.max(np.abs(yi - ci))))

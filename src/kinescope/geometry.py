@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -64,15 +64,8 @@ def reduce_angle(theta):
     return t
 
 
-def rotate(p: ArrayLike, theta: float) -> Vec2:
-    """Rotate a 2-vector by theta (counterclockwise, radians)."""
-    v = _as_vec2(p)
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-
-
 def rot_proj(p: ArrayLike, theta):
-    """Y component of ``rotate(p, theta)``: x*sin(theta) + y*cos(theta).
+    """Y component of p rotated counterclockwise by theta: x*sin(theta) + y*cos(theta).
 
     theta may be a scalar or an array; the result matches its shape.
     This is the only projection the film ever sees, so it gets a name.
@@ -214,14 +207,6 @@ class ConvexPolygon:
 Shape = Union[SmoothContour, ConvexPolygon]
 
 
-@dataclass(frozen=True)
-class TangencyPair:
-    """Parameter values of the two horizontal-tangent points at one angle."""
-
-    beta_upper: float
-    beta_lower: float
-
-
 def _edge_cross(v: np.ndarray) -> np.ndarray:
     """Cross products of consecutive edge pairs, one per corner."""
     edges = np.roll(v, -1, axis=0) - v
@@ -312,9 +297,9 @@ def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def tangency_roots(c: SmoothContour, theta: float) -> TangencyPair:
-    """Find the two boundary parameters whose tangent is horizontal after
-    rotation by theta.
+def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
+    """Find the two boundary parameters ``(beta_upper, beta_lower)`` whose
+    tangent is horizontal after rotation by theta.
 
     The projected tangent g(beta) = tx*sin(theta) + ty*cos(theta) is the
     derivative of the rotated point's Y coordinate, so its roots are the
@@ -349,8 +334,8 @@ def tangency_roots(c: SmoothContour, theta: float) -> TangencyPair:
     if y[0] == y[1]:
         raise ConvexityViolation("tangency points project to the same height")
     if y[0] > y[1]:
-        return TangencyPair(beta_upper=roots[0], beta_lower=roots[1])
-    return TangencyPair(beta_upper=roots[1], beta_lower=roots[0])
+        return roots[0], roots[1]
+    return roots[1], roots[0]
 
 
 def polygon_envelope(p: ConvexPolygon, theta):
@@ -377,24 +362,22 @@ def polygon_envelope(p: ConvexPolygon, theta):
     return ys, yi, iu, il
 
 
-def support_heights(shape: Shape, theta: float) -> tuple[float, float]:
+def support_heights(shape: Shape, theta):
     """Upper and lower heights (Y_s, Y_i) of the silhouette at angle theta.
 
-    Heights are measured from the pole, which is the origin of body
-    coordinates; for a SmoothContour the pole offset is projected and
-    added to the tangency heights.
+    theta may be a scalar, which gives two floats, or an array, which
+    gives two arrays of its shape.  Heights are measured from the pole,
+    which is the origin of body coordinates.  For a SmoothContour the
+    tangency points are found one angle at a time; the pole offset is
+    then projected and added to their heights over the whole array.
     """
     if isinstance(shape, ConvexPolygon):
-        ys, yi, _, _ = polygon_envelope(shape, float(theta))
+        ys, yi, _, _ = polygon_envelope(shape, theta)
         return ys, yi
-    pair = tangency_roots(shape, theta)
-    base = float(rot_proj(shape.pole_offset, theta))
-    ys = base + float(rot_proj(contour_point(shape, pair.beta_upper), theta))
-    yi = base + float(rot_proj(contour_point(shape, pair.beta_lower), theta))
+    th = np.asarray(theta, dtype=float)
+    beta = np.array([tangency_roots(shape, t) for t in th.flat]).T.reshape((2,) + th.shape)
+    pts = contour_point(shape, beta)
+    ys, yi = rot_proj(shape.pole_offset, th) + (pts[..., 0] * np.sin(th) + pts[..., 1] * np.cos(th))
+    if th.ndim == 0:
+        return float(ys), float(yi)
     return ys, yi
-
-
-def height(shape: Shape, theta: float) -> float:
-    """Total silhouette height Y_s - Y_i; independent of where the pole sits."""
-    ys, yi = support_heights(shape, theta)
-    return ys - yi

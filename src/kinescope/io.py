@@ -36,6 +36,33 @@ def write_trace_csv(img: KinematicImage, path: PathLike) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _read_table(path: PathLike, header: str) -> np.ndarray:
+    """Columns of a comma-separated table under the given header line.
+
+    Blank lines are skipped and not counted.  Raises ValueError on an
+    empty file, a wrong header, or a row of the wrong width or with a
+    non-numeric field, naming the line.  Returns an array of shape
+    (columns, rows).
+    """
+    text = Path(path).read_text(encoding="ascii")
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    names = header.split(",")
+    if [f.strip() for f in lines[0].split(",")] != names:
+        raise ValueError(f"{path}: expected header '{header}', got '{lines[0]}'")
+    values = []
+    for ln_no, ln in enumerate(lines[1:], start=2):
+        fields = ln.split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"{path}:{ln_no}: expected {len(names)} comma-separated values")
+        try:
+            values.extend(map(float, fields))
+        except ValueError:
+            raise ValueError(f"{path}:{ln_no}: non-numeric value in '{ln}'") from None
+    return np.array(values).reshape(-1, len(names)).T
+
+
 def read_trace_csv(path: PathLike) -> KinematicImage:
     """Read a trace CSV back into a KinematicImage.
 
@@ -43,27 +70,9 @@ def read_trace_csv(path: PathLike) -> KinematicImage:
     violates the image invariants (non-increasing z, y_s < y_i), naming
     the offending line.
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty trace file")
-    header = [f.strip() for f in lines[0].split(",")]
-    if header != CSV_HEADER.split(","):
-        raise ValueError(f"{path}: expected header '{CSV_HEADER}', got '{lines[0]}'")
-    z, ys, yi = [], [], []
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in ln.split(",")]
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{ln_no}: expected 3 comma-separated values")
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError:
-            raise ValueError(f"{path}:{ln_no}: non-numeric value in '{ln}'") from None
-        z.append(vals[0])
-        ys.append(vals[1])
-        yi.append(vals[2])
+    z, ys, yi = _read_table(path, CSV_HEADER)
     try:
-        return KinematicImage(z=np.array(z), y_s=np.array(ys), y_i=np.array(yi))
+        return KinematicImage(z=z, y_s=ys, y_i=yi)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -86,14 +86,3 @@ def shape_diameter(shape) -> float:
     beta = TWO_PI * np.arange(720) / 720
     pts = contour_point(shape, beta)
     return float(2.0 * np.hypot(pts[:, 0], pts[:, 1]).max())
-
-
-def with_pole(shape, offset):
-    """Same shape with the rotation pole moved by ``offset``."""
-    offset = np.asarray(offset, dtype=float)
-    if isinstance(shape, ConvexPolygon):
-        return ConvexPolygon(shape.vertices, offset)
-    return SmoothContour(
-        kind=shape.kind, a=shape.a, b=shape.b, pole_offset=offset,
-        _r=shape._r, _beta0=shape._beta0,
-    )

@@ -4,6 +4,7 @@ the log doubles as a numeric report.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from _oracles import (
     random_convex_polar,
     reentrant_polar_table,
     shape_diameter,
-    with_pole,
 )
 from kinescope import (
     CIRCLE,
@@ -158,16 +158,9 @@ def test_criterion_06_pole_invariance():
     thetas = TWO_PI * np.arange(256) / 256.0
     worst = 0.0
     for shape, offset in zip(shapes, offsets):
-        moved = with_pole(shape, offset)
-        if isinstance(shape, ConvexPolygon):
-            ys0, yi0, _, _ = polygon_envelope(shape, thetas)
-            ys1, yi1, _, _ = polygon_envelope(moved, thetas)
-            worst = max(worst, float(np.max(np.abs((ys1 - yi1) - (ys0 - yi0)))))
-        else:
-            for th in thetas:
-                ys0, yi0 = support_heights(shape, float(th))
-                ys1, yi1 = support_heights(moved, float(th))
-                worst = max(worst, abs((ys1 - yi1) - (ys0 - yi0)))
+        ys0, yi0 = support_heights(shape, thetas)
+        ys1, yi1 = support_heights(replace(shape, pole_offset=offset), thetas)
+        worst = max(worst, float(np.max(np.abs((ys1 - yi1) - (ys0 - yi0)))))
     assert worst <= 1e-9
     print(f"PASS criterion 6: height pole-invariance on 100 shapes, max dev {worst:.3e} (tol 1e-9)")
 
@@ -177,16 +170,10 @@ def test_criterion_07_reflection_identity():
     thetas = TWO_PI * np.arange(64) / 64.0
     worst = 0.0
     for shape, offset in zip(shapes, offsets):
-        moved = with_pole(shape, offset)
-        if isinstance(shape, ConvexPolygon):
-            _, yi, _, _ = polygon_envelope(moved, thetas)
-            ys_pi, _, _, _ = polygon_envelope(moved, thetas + math.pi)
-            worst = max(worst, float(np.max(np.abs(yi + ys_pi))))
-        else:
-            for th in thetas:
-                _, yi = support_heights(moved, float(th))
-                ys_pi, _ = support_heights(moved, float(th) + math.pi)
-                worst = max(worst, abs(yi + ys_pi))
+        moved = replace(shape, pole_offset=offset)
+        _, yi = support_heights(moved, thetas)
+        ys_pi, _ = support_heights(moved, thetas + math.pi)
+        worst = max(worst, float(np.max(np.abs(yi + ys_pi))))
     assert worst <= 1e-10
     print(f"PASS criterion 7: reflection identity on 100 shapes, max dev {worst:.3e} (tol 1e-10)")
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ from kinescope import (
     SmoothContour,
     contour_point,
     contour_tangent,
-    height,
     is_convex,
     polygon_envelope,
     reduce_angle,
     regular_ngon,
     rot_proj,
-    rotate,
     support_heights,
     tangency_roots,
 )
@@ -25,7 +24,6 @@ from _oracles import (
     random_convex_polar,
     random_convex_polygon,
     reentrant_polar_table,
-    with_pole,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -33,24 +31,13 @@ TWO_PI = 2.0 * math.pi
 EXACT_SQUARE = np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
 
 
-def test_rotate_quarter_turn():
-    v = rotate((1.0, 0.0), math.pi / 2)
-    assert abs(v[0]) < 1e-15
-    assert abs(v[1] - 1.0) < 1e-15
-
-
-def test_rotate_identity():
-    assert np.allclose(rotate((1.0, 0.0), 0.0), [1.0, 0.0], atol=0.0)
-
-
 def test_rotate_adds_angles_on_circle_points():
-    # a*(cos b, sin b) rotated by t must be a*(cos(t+b), sin(t+b))
+    # a*(cos b, sin b) rotated by t projects to a*sin(t+b)
     a = 1.7
     for beta in (0.0, 0.4, 2.0, 5.5):
         for th in (0.1, 1.2, 4.0):
-            got = rotate((a * math.cos(beta), a * math.sin(beta)), th)
-            assert abs(got[0] - a * math.cos(th + beta)) < 1e-12
-            assert abs(got[1] - a * math.sin(th + beta)) < 1e-12
+            got = rot_proj((a * math.cos(beta), a * math.sin(beta)), th)
+            assert abs(got - a * math.sin(th + beta)) < 1e-12
 
 
 def test_rot_proj_values():
@@ -60,14 +47,6 @@ def test_rot_proj_values():
     th = 0.83
     want = 0.5 * (math.sin(th) + math.cos(th))
     assert abs(rot_proj((0.5, 0.5), th) - want) < 1e-15
-
-
-def test_rot_proj_is_y_component_of_rotate():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = rng.normal(size=2)
-        th = rng.uniform(-10, 10)
-        assert abs(rot_proj(p, th) - rotate(p, th)[1]) < 1e-12
 
 
 def test_rot_proj_accepts_theta_array():
@@ -111,23 +90,23 @@ def test_contour_tangent_values():
 def test_tangency_roots_circle_closed_form():
     c = SmoothContour.circle(1.3)
     for th in (0.0, 0.3, 1.9, 4.4, 6.1):
-        pair = tangency_roots(c, th)
+        beta_upper, beta_lower = tangency_roots(c, th)
         want_u = reduce_angle(math.pi / 2 - th)
         want_l = reduce_angle(3 * math.pi / 2 - th)
-        assert abs(pair.beta_upper - want_u) < 1e-12
-        assert abs(pair.beta_lower - want_l) < 1e-12
+        assert abs(beta_upper - want_u) < 1e-12
+        assert abs(beta_lower - want_l) < 1e-12
 
 
 def test_tangency_roots_ellipse_axis_aligned():
-    pair = tangency_roots(SmoothContour.ellipse(2.0, 1.0), 0.0)
-    assert abs(pair.beta_upper - math.pi / 2) < 1e-12
-    assert abs(pair.beta_lower - 3 * math.pi / 2) < 1e-12
+    beta_upper, beta_lower = tangency_roots(SmoothContour.ellipse(2.0, 1.0), 0.0)
+    assert abs(beta_upper - math.pi / 2) < 1e-12
+    assert abs(beta_lower - 3 * math.pi / 2) < 1e-12
 
 
 def test_tangency_roots_ellipse_quarter_angle():
     # at theta = pi/4 the upper root solves tan(beta) = b/a * cot(theta) = 0.5
-    pair = tangency_roots(SmoothContour.ellipse(2.0, 1.0), math.pi / 4)
-    assert abs(pair.beta_upper - 0.4636476090008062) < 1e-12
+    beta_upper, _ = tangency_roots(SmoothContour.ellipse(2.0, 1.0), math.pi / 4)
+    assert abs(beta_upper - 0.4636476090008062) < 1e-12
 
 
 def test_tangency_residual_ellipse():
@@ -135,10 +114,8 @@ def test_tangency_residual_ellipse():
     a, b = 2.0, 1.0
     e = SmoothContour.ellipse(a, b)
     for th in np.linspace(0.05, TWO_PI - 0.05, 17):
-        pair = tangency_roots(e, float(th))
-        res = a * math.sin(th) * math.sin(pair.beta_upper) - b * math.cos(th) * math.cos(
-            pair.beta_upper
-        )
+        beta_upper, _ = tangency_roots(e, float(th))
+        res = a * math.sin(th) * math.sin(beta_upper) - b * math.cos(th) * math.cos(beta_upper)
         assert abs(res) < 1e-10 * (a + b)
 
 
@@ -147,9 +124,9 @@ def test_tangency_upper_label_has_larger_height():
     for _ in range(10):
         c = random_convex_polar(rng)
         th = float(rng.uniform(0, TWO_PI))
-        pair = tangency_roots(c, th)
-        yu = rot_proj(contour_point(c, pair.beta_upper), th)
-        yl = rot_proj(contour_point(c, pair.beta_lower), th)
+        beta_upper, beta_lower = tangency_roots(c, th)
+        yu = rot_proj(contour_point(c, beta_upper), th)
+        yl = rot_proj(contour_point(c, beta_lower), th)
         assert yu > yl
 
 
@@ -171,10 +148,34 @@ def test_support_heights_ellipse_value():
 
 
 def test_height_worked_values():
-    assert abs(height(SmoothContour.circle(2.0, (0.3, -0.9)), 1.1) - 4.0) < 1e-12
-    assert abs(height(SmoothContour.ellipse(2.0, 1.0), 0.0) - 2.0) < 1e-12
-    sq = ConvexPolygon(EXACT_SQUARE)
-    assert abs(height(sq, math.pi / 4) - math.sqrt(2.0)) < 1e-12
+    cases = [
+        (SmoothContour.circle(2.0, (0.3, -0.9)), 1.1, 4.0),
+        (SmoothContour.ellipse(2.0, 1.0), 0.0, 2.0),
+        (ConvexPolygon(EXACT_SQUARE), math.pi / 4, math.sqrt(2.0)),
+    ]
+    for shape, th, want in cases:
+        ys, yi = support_heights(shape, th)
+        assert abs((ys - yi) - want) < 1e-12
+
+
+def test_support_heights_array_matches_scalar():
+    rng = np.random.default_rng(31)
+    shapes = [
+        replace(regular_ngon(5, 1.2), pole_offset=(0.3, -0.4)),
+        SmoothContour.circle(1.5, (1.5, 0.0)),
+        SmoothContour.ellipse(2.0, 1.0, (0.4, 0.1)),
+        random_convex_polar(rng),
+    ]
+    th = rng.uniform(-TWO_PI, 2 * TWO_PI, 64)
+    for shape in shapes:
+        scalar = np.array([support_heights(shape, float(t)) for t in th])
+        for grid in (th, th.reshape(8, 8)):
+            ys, yi = support_heights(shape, grid)
+            assert ys.shape == yi.shape == grid.shape
+            assert np.array_equal(ys.ravel(), scalar[:, 0])
+            assert np.array_equal(yi.ravel(), scalar[:, 1])
+        ys, yi = support_heights(shape, float(th[0]))
+        assert type(ys) is float and type(yi) is float
 
 
 def test_polygon_envelope_square_at_zero_ties_to_lowest_index():
@@ -278,10 +279,10 @@ def test_tangency_two_roots_on_random_convex_contours():
     rng = np.random.default_rng(7)
     for _ in range(15):
         c = random_convex_polar(rng)
-        pair = tangency_roots(c, float(rng.uniform(0, TWO_PI)))
-        assert 0.0 <= pair.beta_upper < TWO_PI
-        assert 0.0 <= pair.beta_lower < TWO_PI
-        assert pair.beta_upper != pair.beta_lower
+        beta_upper, beta_lower = tangency_roots(c, float(rng.uniform(0, TWO_PI)))
+        assert 0.0 <= beta_upper < TWO_PI
+        assert 0.0 <= beta_lower < TWO_PI
+        assert beta_upper != beta_lower
 
 
 def test_support_heights_match_brute_force_sampling():
@@ -310,6 +311,8 @@ def test_height_is_pole_invariant():
     rng = np.random.default_rng(29)
     for _ in range(8):
         shape = random_convex_polygon(rng)
-        moved = with_pole(shape, rng.uniform(-5, 5, size=2))
+        moved = replace(shape, pole_offset=rng.uniform(-5, 5, size=2))
         for th in rng.uniform(0, TWO_PI, 8):
-            assert abs(height(shape, float(th)) - height(moved, float(th))) < 1e-9
+            ys0, yi0 = support_heights(shape, float(th))
+            ys1, yi1 = support_heights(moved, float(th))
+            assert abs((ys0 - yi0) - (ys1 - yi1)) < 1e-9

@@ -11,7 +11,7 @@ from kinescope import (
     regular_ngon,
     trace,
 )
-from kinescope.cli import RunConfig, run
+from kinescope.cli import run
 from kinescope.io import format_report, read_trace_csv, write_svg, write_trace_csv
 
 TWO_PI = 2.0 * math.pi
@@ -151,6 +151,17 @@ def test_cli_piecewise_omega_file(tmp_path):
     assert read_trace_csv(csv).z[-1] == 6.0
 
 
+def test_cli_omega_file_sets_default_sample_count(tmp_path):
+    # 1024 samples per rotation, counted from the rate table as from --omega
+    table = tmp_path / "omega.txt"
+    table.write_text("0 10.0\n")
+    args = ["direct", "--shape", "ngon", "--sides", "4", "--side-length", "1", "--duration", "6"]
+    from_table, constant = tmp_path / "table.csv", tmp_path / "constant.csv"
+    assert run(args + ["--omega-file", str(table), "--out", str(from_table)]) == 0
+    assert run(args + ["--omega", "10", "--out", str(constant)]) == 0
+    assert len(read_trace_csv(from_table)) == len(read_trace_csv(constant)) == 9778
+
+
 def test_cli_render(tmp_path):
     csv, svg = tmp_path / "t.csv", tmp_path / "replot.svg"
     assert run(["direct", "--shape", "ngon", "--sides", "6", "--circumradius", "1.0",
@@ -173,6 +184,11 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                 "--circumradius", "1", "--out", str(csv)]) == 2
     assert run(["direct", "--shape", "circle", "--radius", "1", "--periods", "1",
                 "--duration", "1", "--out", str(csv)]) == 2
+    assert run(["direct", "--shape", "ngon", "--sides", "0", "--side-length", "1",
+                "--out", str(csv)]) == 2
+    assert run(["bogus"]) == 2  # unknown command
+    assert run(["render", "--in", "x.csv"]) == 2  # missing --svg
+    assert run(["direct", "--shape", "circle", "--radius", "1"]) == 2  # missing --out
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,1\n")
     assert run(["inverse", "--in", str(bad)]) == 2
@@ -197,14 +213,3 @@ def test_cli_degenerate_trace_exits_4(tmp_path, capsys):
     flat.write_text("z,ys,yi\n" + "".join(f"{z},0,0\n" for z in range(8)))
     assert run(["inverse", "--in", str(flat)]) == 4
     capsys.readouterr()
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig("bogus")
-    with pytest.raises(ValueError):
-        RunConfig("direct", {})
-    with pytest.raises(ValueError):
-        RunConfig("render", {"inp": "in.csv"})
-    cfg = RunConfig("render", {"inp": "in.csv", "svg": "out.svg"})
-    assert cfg["svg"] == "out.svg"
