@@ -186,12 +186,17 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                 "--duration", "1", "--out", str(csv)]) == 2
     assert run(["direct", "--shape", "ngon", "--sides", "0", "--side-length", "1",
                 "--out", str(csv)]) == 2
-    assert run(["bogus"]) == 2  # unknown command
-    assert run(["render", "--in", "x.csv"]) == 2  # missing --svg
-    assert run(["direct", "--shape", "circle", "--radius", "1"]) == 2  # missing --out
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,1\n")
     assert run(["inverse", "--in", str(bad)]) == 2
+    capsys.readouterr()
+
+
+def test_run_config_validation(capsys):
+    # argparse rejects an unknown command and a missing required flag
+    assert run(["bogus"]) == 2
+    assert run(["render", "--in", "x.csv"]) == 2  # missing --svg
+    assert run(["direct", "--shape", "circle", "--radius", "1"]) == 2  # missing --out
     capsys.readouterr()
 
 
