@@ -14,7 +14,6 @@ from .geometry import (
     SmoothContour,
     contour_point,
     contour_tangent,
-    is_convex,
     polygon_envelope,
     reduce_angle,
     regular_ngon,
@@ -57,7 +56,6 @@ __all__ = [
     "format_report",
     "identify",
     "integrate",
-    "is_convex",
     "oracle_check",
     "parity_test",
     "period_estimate",

@@ -32,18 +32,6 @@ from .inverse import identify
 from .io import _read_table, format_report, read_trace_csv, write_svg, write_trace_csv
 from .motion import MotionProfile, TimeGrid, integrate
 
-CHECK_CASES = (
-    "circle-center",
-    "circle-rim",
-    "ellipse",
-    "square",
-    "triangle",
-    "reflection",
-    "pole-invariance",
-    "roundtrip",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kinescope",
@@ -58,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, help="ellipse semi-axis along x (a >= b)")
     p.add_argument("--b", type=float, help="ellipse semi-axis along y")
     p.add_argument("--sides", type=int, help="ngon side count")
-    p.add_argument("--side-length", type=float, help="ngon side length")
-    p.add_argument("--circumradius", type=float, help="ngon circumradius (alternative to --side-length)")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--side-length", type=float, help="ngon side length")
+    size.add_argument("--circumradius", type=float, help="ngon circumradius")
     p.add_argument("--polar-file", help="CSV of beta,r samples for --shape polar")
     p.add_argument("--pole", choices=["center", "rim"], default="center",
                    help="rotation pole: shape center, or a rim point (circle only)")
@@ -70,9 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", type=float, default=1.0, help="constant film speed")
     p.add_argument("--speed-file", help="piecewise table: lines of 't value'")
     p.add_argument("--theta0", type=float, default=0.0, help="initial angle (rad)")
-    p.add_argument("--periods", type=float, default=None,
-                   help="duration as a count of full rotations (constant omega only)")
-    p.add_argument("--duration", type=float, default=None, help="duration in time units")
+    span = p.add_mutually_exclusive_group()
+    span.add_argument("--periods", type=float, default=None,
+                      help="duration as a count of full rotations (constant omega only)")
+    span.add_argument("--duration", type=float, default=None, help="duration in time units")
     p.add_argument("--samples", type=int, default=None,
                    help="sample count (default: 1024 per rotation)")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -88,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", required=True, help="output SVG path")
 
     p = sub.add_parser("check", help="run the built-in verification suite")
-    p.add_argument("--case", choices=list(CHECK_CASES), help="run a single check")
+    p.add_argument("--case", choices=list(CHECKS), help="run a single check")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--b", type=float, default=1.0)
@@ -146,8 +136,8 @@ def _build_shape(ns: argparse.Namespace) -> Shape:
         if n is None or n < 3:
             raise ValueError("--sides of at least 3 is required for --shape ngon")
         side, circ = ns.side_length, ns.circumradius
-        if (side is None) == (circ is None):
-            raise ValueError("give exactly one of --side-length or --circumradius")
+        if side is None and circ is None:
+            raise ValueError("--side-length or --circumradius is required for --shape ngon")
         if circ is None:
             if not side > 0:
                 raise ValueError("--side-length must be positive")
@@ -175,8 +165,6 @@ def _build_grid(ns: argparse.Namespace, profile: MotionProfile) -> TimeGrid:
     periods, duration = ns.periods, ns.duration
     if (periods is None) and (duration is None):
         periods = 1.0
-    if (periods is not None) and (duration is not None):
-        raise ValueError("give only one of --periods or --duration")
     if periods is not None:
         if ns.omega_file:
             raise ValueError("--periods needs a constant --omega; use --duration instead")
@@ -284,33 +272,35 @@ def _check_roundtrip() -> tuple[bool, str]:
     return worst_rel <= 1e-4, f"n=3..8 exact; max |M-R|/R = {worst_rel:.3e} (tol 1e-4)"
 
 
+# Each check takes the parsed ``check`` flags and returns (ok, detail).
+CHECKS = {
+    "circle-center": lambda ns: _check_closed_form(
+        SmoothContour.circle(ns.radius),
+        ClosedFormCase.circle_center(ns.radius), 1e-12),
+    "circle-rim": lambda ns: _check_closed_form(
+        SmoothContour.circle(ns.radius, (ns.radius, 0.0)),
+        ClosedFormCase.circle_rim(ns.radius), 1e-8),
+    "ellipse": lambda ns: _check_closed_form(
+        SmoothContour.ellipse(ns.a, ns.b),
+        ClosedFormCase.ellipse_center(ns.a, ns.b), 1e-8),
+    "square": lambda ns: _check_closed_form(
+        regular_ngon(4, ns.side * math.sqrt(2.0) / 2.0),
+        ClosedFormCase.square_center(ns.side), 1e-12),
+    "triangle": lambda ns: _check_closed_form(
+        regular_ngon(3, ns.side * math.sqrt(3.0) / 3.0),
+        ClosedFormCase.triangle_center(ns.side), 1e-12),
+    "reflection": lambda ns: _check_reflection(),
+    "pole-invariance": lambda ns: _check_pole_invariance(),
+    "roundtrip": lambda ns: _check_roundtrip(),
+}
+
+
 def cmd_check(ns: argparse.Namespace) -> int:
     """Run verification cases; print one PASS/FAIL line each."""
-    radius, a, b, side = ns.radius, ns.a, ns.b, ns.side
-    suite = {
-        "circle-center": lambda: _check_closed_form(
-            SmoothContour.circle(radius),
-            ClosedFormCase.circle_center(radius), 1e-12),
-        "circle-rim": lambda: _check_closed_form(
-            SmoothContour.circle(radius, (radius, 0.0)),
-            ClosedFormCase.circle_rim(radius), 1e-8),
-        "ellipse": lambda: _check_closed_form(
-            SmoothContour.ellipse(a, b),
-            ClosedFormCase.ellipse_center(a, b), 1e-8),
-        "square": lambda: _check_closed_form(
-            regular_ngon(4, side * math.sqrt(2.0) / 2.0),
-            ClosedFormCase.square_center(side), 1e-12),
-        "triangle": lambda: _check_closed_form(
-            regular_ngon(3, side * math.sqrt(3.0) / 3.0),
-            ClosedFormCase.triangle_center(side), 1e-12),
-        "reflection": _check_reflection,
-        "pole-invariance": _check_pole_invariance,
-        "roundtrip": _check_roundtrip,
-    }
-    names = [ns.case] if ns.case else list(CHECK_CASES)
+    names = [ns.case] if ns.case else list(CHECKS)
     failures = 0
     for name in names:
-        ok, detail = suite[name]()
+        ok, detail = CHECKS[name](ns)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures += 1

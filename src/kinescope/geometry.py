@@ -214,21 +214,6 @@ def _edge_cross(v: np.ndarray) -> np.ndarray:
     return edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
 
 
-def is_convex(vertices: ArrayLike) -> bool:
-    """True iff every corner turns strictly the same way (either winding).
-
-    Repeated or collinear consecutive vertices give a zero cross product
-    and therefore fail the strictness requirement.
-    """
-    v = np.asarray(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-        return False
-    if not np.all(np.isfinite(v)):
-        return False
-    cross = _edge_cross(v)
-    return bool(np.all(cross > 0) or np.all(cross < 0))
-
-
 def regular_ngon(n: int, circumradius: float) -> ConvexPolygon:
     """Regular n-gon centred on the pole, top edge horizontal.
 

@@ -39,20 +39,22 @@ def write_trace_csv(img: KinematicImage, path: PathLike) -> None:
 def _read_table(path: PathLike, header: str) -> np.ndarray:
     """Columns of a comma-separated table under the given header line.
 
-    Blank lines are skipped and not counted.  Raises ValueError on an
-    empty file, a wrong header, or a row of the wrong width or with a
-    non-numeric field, naming the line.  Returns an array of shape
-    (columns, rows).
+    Blank lines are skipped.  Raises ValueError on an empty file, a
+    wrong header, or a row of the wrong width or with a non-numeric
+    field, naming the file line.  Returns an array of shape (columns,
+    rows).
     """
     text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-    if not lines:
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    rows = ((ln_no, ln) for ln_no, ln in lines if ln)
+    _, head = next(rows, (0, ""))
+    if not head:
         raise ValueError(f"{path}: empty file")
     names = header.split(",")
-    if [f.strip() for f in lines[0].split(",")] != names:
-        raise ValueError(f"{path}: expected header '{header}', got '{lines[0]}'")
+    if [f.strip() for f in head.split(",")] != names:
+        raise ValueError(f"{path}: expected header '{header}', got '{head}'")
     values = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in rows:
         fields = ln.split(",")
         if len(fields) != len(names):
             raise ValueError(f"{path}:{ln_no}: expected {len(names)} comma-separated values")
@@ -75,10 +77,6 @@ def read_trace_csv(path: PathLike) -> KinematicImage:
         return KinematicImage(z=z, y_s=ys, y_i=yi)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.3f}"
 
 
 def write_svg(img: KinematicImage, path: PathLike) -> None:
@@ -105,18 +103,12 @@ def write_svg(img: KinematicImage, path: PathLike) -> None:
 
     zmid = 0.5 * float(z[0] + z[-1])
     ymid = 0.5 * (ylo + yhi)
-
-    def px(zv: float) -> float:
-        return SVG_W / 2.0 + (zv - zmid) * scale
-
-    def py(yv: float) -> float:
-        return SVG_H / 2.0 - (yv - ymid) * scale
-
-    upper = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(z, ys))
-    lower = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(z, yi))
-    ribbon = upper + " " + " ".join(
-        f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(z[::-1], yi[::-1])
-    )
+    x = (SVG_W / 2.0 + (z - zmid) * scale).tolist()
+    point = "{:.3f},{:.3f}".format
+    upper = " ".join(map(point, x, (SVG_H / 2.0 - (ys - ymid) * scale).tolist()))
+    lower = " ".join(map(point, x, (SVG_H / 2.0 - (yi - ymid) * scale).tolist()))
+    del x  # freed before the document is built: the write is the memory peak
+    ribbon = upper + " " + " ".join(reversed(lower.split(" ")))
 
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_W} {SVG_H}" '

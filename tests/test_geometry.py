@@ -9,7 +9,6 @@ from kinescope import (
     SmoothContour,
     contour_point,
     contour_tangent,
-    is_convex,
     polygon_envelope,
     reduce_angle,
     regular_ngon,
@@ -242,19 +241,13 @@ def test_regular_ngon_rejects_bad_args():
         regular_ngon(5, 0.0)
 
 
-def test_is_convex_cases():
-    assert is_convex(EXACT_SQUARE)
-    assert is_convex(EXACT_SQUARE[::-1])  # clockwise is still convex
-    lshape = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
-    assert not is_convex(lshape)
-    assert not is_convex([(0, 0), (1, 0), (1, 0)])
-
-
 def test_convex_polygon_requires_strict_ccw():
     with pytest.raises(ConvexityViolation):
         ConvexPolygon(EXACT_SQUARE[::-1])
     with pytest.raises(ConvexityViolation):
         ConvexPolygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    with pytest.raises(ConvexityViolation):
+        ConvexPolygon([(0, 0), (1, 0), (1, 0)])  # repeated vertex
     with pytest.raises(ValueError):
         ConvexPolygon([(0, 0), (1, 0)])
 

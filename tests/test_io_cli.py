@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ def test_csv_read_errors_name_the_line(tmp_path):
     p.write_text("z,ys,yi\n0,1,-1\n1,oops,-1\n")
     with pytest.raises(ValueError, match=":3:"):
         read_trace_csv(p)
+    p.write_text("z,ys,yi\n\n0,1,-1\n1,oops,-1\n")  # a blank line still counts
+    with pytest.raises(ValueError, match=":4:"):
+        read_trace_csv(p)
     p.write_text("z,ys,yi\n0,1\n")
     with pytest.raises(ValueError, match=":2:"):
         read_trace_csv(p)
@@ -64,6 +68,31 @@ def test_svg_structure(tmp_path):
     assert text.count("<polyline") == 2
     assert text.count("<polygon") == 1
     assert 'fill-opacity="0.25"' in text
+
+
+def test_svg_points_follow_the_pixel_map(tmp_path):
+    z = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    wide = (np.array([0.3, 0.1, 0.25, 0.05, 0.3]), np.array([-0.3, -0.1, -0.2, -0.05, -0.3]))
+    flat = (np.ones(5), np.ones(5))
+    for ys, yi in (wide, flat):  # the width sets the scale, then the height
+        # 800x300 less a 5% margin on each side is 720x270; one scale for
+        # both axes (a flat image counts as 1 unit tall), centred drawing.
+        dy = (ys.max() - yi.min()) or 1.0
+        scale = min(720.0 / (z[-1] - z[0]), 270.0 / dy)
+        zmid, ymid = 0.5 * (z[0] + z[-1]), 0.5 * (yi.min() + ys.max())
+
+        def points(y):
+            return " ".join(f"{400.0 + (a - zmid) * scale:.3f},{150.0 - (b - ymid) * scale:.3f}"
+                            for a, b in zip(z, y))
+
+        p = tmp_path / "plot.svg"
+        write_svg(KinematicImage(z=z, y_s=ys, y_i=yi), p)
+        text = p.read_text()
+        upper, lower = re.findall(r'<polyline points="([^"]*)"', text)
+        assert upper == points(ys)
+        assert lower == points(yi)
+        ribbon = re.search(r'<polygon points="([^"]*)"', text).group(1)
+        assert ribbon.split(" ") == upper.split(" ") + lower.split(" ")[::-1]
 
 
 def test_svg_is_deterministic(tmp_path):
