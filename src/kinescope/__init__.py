@@ -28,8 +28,6 @@ from .inverse import (
     InverseReport,
     extremes,
     identify,
-    parity_test,
-    period_estimate,
     side_count,
 )
 from .io import format_report, read_trace_csv, write_svg, write_trace_csv
@@ -57,8 +55,6 @@ __all__ = [
     "identify",
     "integrate",
     "oracle_check",
-    "parity_test",
-    "period_estimate",
     "polygon_envelope",
     "read_trace_csv",
     "reduce_angle",

@@ -20,16 +20,16 @@ import numpy as np
 
 from .direct import KinematicImage
 from .errors import DegenerateImage, InsufficientData
-from .geometry import TWO_PI, polygon_envelope, regular_ngon
+from .geometry import TWO_PI
 
 # Sentinel side count for images whose m/M ratio is beyond the resolvable
 # polygon range.  Compared with `is` or `==`; it is a plain string so it
 # survives serialization.
 CIRCLE = "CIRCLE"
 
-# Relative slack when comparing the even score against the best shifted
-# score.  Large enough that measurement noise on a genuinely even image
-# cannot push the shifted minimum below the unshifted score, small enough
+# Relative slack when comparing the even score against the half-period
+# shifted score.  Large enough that measurement noise on a genuinely even
+# image cannot push the shifted score below the unshifted one, small enough
 # that a real half-period shift (whose even score is worse by orders of
 # magnitude) is never missed.
 EPS_PARITY = 1e-3
@@ -137,14 +137,15 @@ def side_count(m: float, M: float, n_max: int = 64):
 
     CIRCLE is returned when m/M exceeds cos(pi/n_max): past that point
     one sampling-noise quantum moves the answer by a whole side, so a
-    count would be meaningless.  Raises ValueError unless 0 < m <= M.
+    count would be meaningless.  Raises ValueError unless 0 < m <= M and
+    3 <= n_max <= 298156826 (past which cos(pi/n_max) rounds to 1).
     """
     if not m > 0:
         raise ValueError("m must be positive")
     if m > M:
         raise ValueError("m must not exceed M")
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3")
+    if n_max < 3 or math.cos(math.pi / n_max) == 1.0:
+        raise ValueError("n_max must be at least 3 and at most 298156826")
     ratio = _ratio(m, M)
     if ratio > math.cos(math.pi / n_max):
         return CIRCLE
@@ -163,8 +164,6 @@ def _interior_maxima(img: KinematicImage) -> np.ndarray:
     z, ys = img.z, img.y_s
     lo = float(ys.min())
     band = float(ys.max()) - lo
-    if not band > 0:
-        raise InsufficientData("upper curve is flat; it has no maxima to locate")
     high = ys >= lo + 0.75 * band
     low = ys < lo + 0.50 * band
     enter = np.flatnonzero(~high[:-1] & high[1:]) + 1
@@ -189,18 +188,14 @@ def _interior_maxima(img: KinematicImage) -> np.ndarray:
     return np.asarray(peaks_z)
 
 
-def period_estimate(img: KinematicImage, warnings: Optional[list] = None) -> float:
+def _period(peaks_z: np.ndarray, warnings: list) -> float:
     """Mean z-distance between successive maxima of the upper curve.
 
     Needs at least two interior maxima, else InsufficientData.  When the
     individual spacings disagree by more than 1% of their mean, a note is
-    appended to ``warnings`` (if given): either the motion was not
-    constant or the record is noisy, and the mean is then only a summary.
+    appended to ``warnings``: either the motion was not constant or the
+    record is noisy, and the mean is then only a summary.
     """
-    return _period(_interior_maxima(img), warnings)
-
-
-def _period(peaks_z: np.ndarray, warnings: Optional[list]) -> float:
     if len(peaks_z) < 2:
         raise InsufficientData(
             f"found {len(peaks_z)} interior maxima; need at least 2 to measure a period"
@@ -209,7 +204,7 @@ def _period(peaks_z: np.ndarray, warnings: Optional[list]) -> float:
     period = float(np.mean(spacings))
     if len(spacings) > 1:
         spread = float(spacings.max() - spacings.min()) / period
-        if spread > 0.01 and warnings is not None:
+        if spread > 0.01:
             warnings.append(
                 f"maxima spacings spread {spread:.2%} of the mean; "
                 "the motion may be non-constant or the record noisy"
@@ -217,50 +212,23 @@ def _period(peaks_z: np.ndarray, warnings: Optional[list]) -> float:
     return period
 
 
-def parity_test(img: KinematicImage) -> str:
-    """Classify the image as even, odd, or circle.
-
-    The image is a circle when ``side_count`` (at its default n_max)
-    calls it one.  Otherwise mirror-symmetric upper/lower curves mean an
-    even side count; curves that only match after sliding the upper one
-    by half its period mean an odd count.  The shifted comparison scans
-    a window around T/2 and polishes the best offset with scipy's bounded
-    scalar minimizer; offsets near 0 or T are never tried, since a
-    whole-period slide is the unshifted comparison again (and on noisy
-    data would beat it spuriously, because interpolation averages the
-    noise down).  The unshifted score wins ties within EPS_PARITY
-    relative.
-    """
-    m, M, midline = extremes(img)
-    if m > 0 and side_count(m, M) == CIRCLE:
-        return "circle"
-    return _parity(img, midline, period_estimate(img))
-
-
 def _parity(img: KinematicImage, midline: float, period: float) -> str:
-    from scipy.optimize import minimize_scalar
+    """Even or odd, from how the lower curve matches the upper one.
 
-    z = img.z
+    Mirror-image curves mean an even side count; curves that only match
+    after sliding the upper one by half the measured period mean an odd
+    count (the peak spacing measures the period far more finely than a
+    scan of offsets would).  Under 8 overlapping samples there is no odd
+    evidence.  The unshifted score wins ties within EPS_PARITY relative.
+    """
     ysc = img.y_s - midline
     yic = img.y_i - midline
-
-    def shifted_rms(delta: float) -> float:
-        zq = z + delta
-        keep = zq <= z[-1]
-        if int(keep.sum()) < 8:
-            return math.inf
-        diff = yic[keep] + np.interp(zq[keep], z, ysc)
-        return _rms(diff)
-
-    s_even = _rms(yic + ysc)
-    # T/2 +- T/16; the period estimate is accurate to far better than that.
-    offsets = period * (0.5 + (np.arange(17) - 8) / 128.0)
-    scores = np.array([shifted_rms(d) for d in offsets])
-    j = int(np.argmin(scores))
-    bounds = (float(offsets[max(j - 1, 0)]), float(offsets[min(j + 1, len(offsets) - 1)]))
-    polished = minimize_scalar(shifted_rms, bounds=bounds, method="bounded")
-    s_odd = min(float(polished.fun), float(scores[j]))
-    return "even" if s_even <= s_odd * (1.0 + EPS_PARITY) else "odd"
+    zq = img.z + 0.5 * period
+    keep = zq <= img.z[-1]
+    if int(keep.sum()) < 8:
+        return "even"
+    s_odd = _rms(yic[keep] + np.interp(zq[keep], img.z, ysc))
+    return "even" if _rms(yic + ysc) <= s_odd * (1.0 + EPS_PARITY) else "odd"
 
 
 def _aligned_residual(
@@ -268,7 +236,9 @@ def _aligned_residual(
 ) -> float:
     """RMS gap between the upper curve and a re-synthesized n-gon envelope.
 
-    The synthetic envelope's phase is free.  Each maximum of the upper
+    That envelope is M*cos(mod(theta + phi, s) - s/2) with s = 2*pi/n,
+    the vertex nearest the top being mod(theta + phi, s) - s/2 off
+    vertical; its phase phi is free.  Each maximum of the upper
     curve is an angle at which a vertex points straight up, where
     theta + phi = pi/n modulo the sector 2*pi/n; the circular mean of
     those phases is the starting phase, which scipy's bounded scalar
@@ -276,14 +246,12 @@ def _aligned_residual(
     """
     from scipy.optimize import minimize_scalar
 
-    poly = regular_ngon(n, M)
     ysc = img.y_s - midline
     theta = omega_over_v * (img.z - img.z[0])
     sector = TWO_PI / n
 
     def gap(phi: float) -> float:
-        env, _, _, _ = polygon_envelope(poly, theta + phi)
-        return _rms(ysc - env)
+        return _rms(ysc - M * np.cos(np.mod(theta + phi, sector) - 0.5 * sector))
 
     peak_theta = omega_over_v * (peaks_z - img.z[0])
     # n * (pi/n - theta) wraps the sector once around the unit circle.

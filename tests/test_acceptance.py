@@ -25,7 +25,6 @@ from kinescope import (
     TimeGrid,
     extremes,
     identify,
-    parity_test,
     polygon_envelope,
     regular_ngon,
     side_count,
@@ -222,10 +221,11 @@ def test_criterion_10_parity_classification():
     for n in range(3, 13):
         img = trace(regular_ngon(n, 1.0), UNIT, TimeGrid(duration=TWO_PI, samples=1024 * n + 1))
         want = "even" if n % 2 == 0 else "odd"
-        assert parity_test(img) == want, f"n={n}"
+        assert identify(img).parity == want, f"n={n}"
     circle = trace(SmoothContour.circle(1.0), UNIT, TimeGrid(duration=TWO_PI, samples=512))
-    assert parity_test(circle) == "circle"
-    assert identify(circle).n == CIRCLE
+    rep = identify(circle)
+    assert rep.parity == "circle"
+    assert rep.n == CIRCLE
     print("PASS criterion 10: parity matches n mod 2 for n=3..12; circle classified CIRCLE")
 
 

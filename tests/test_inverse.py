@@ -13,8 +13,6 @@ from kinescope import (
     extremes,
     identify,
     inverse,
-    parity_test,
-    period_estimate,
     regular_ngon,
     side_count,
     trace,
@@ -83,52 +81,59 @@ def test_side_count_rejects_bad_inputs():
         side_count(0.5, 1.0, n_max=2)
 
 
+def test_side_count_rejects_n_max_past_circle_gate():
+    # cos(pi/n_max) rounds to 1 past 298156826, so CIRCLE could never fire
+    # and m = M would round an infinite count
+    assert side_count(1.0, 1.0, n_max=298156826) == CIRCLE
+    with pytest.raises(ValueError):
+        side_count(1.0, 1.0, n_max=298156827)
+    with pytest.raises(ValueError):
+        side_count(1.0, 1.0, n_max=10**9)
+
+
 def test_parity_square_even():
-    assert parity_test(ngon_image(4)) == "even"
+    assert identify(ngon_image(4)).parity == "even"
 
 
 def test_parity_triangle_odd():
-    assert parity_test(ngon_image(3)) == "odd"
+    assert identify(ngon_image(3)).parity == "odd"
 
 
 def test_parity_pentagon_odd():
-    assert parity_test(ngon_image(5)) == "odd"
+    assert identify(ngon_image(5)).parity == "odd"
 
 
 def test_parity_circle():
     img = trace(SmoothContour.circle(2.0), MotionProfile(1.0, 1.0), TimeGrid(duration=5.0, samples=128))
-    assert parity_test(img) == "circle"
+    assert identify(img).parity == "circle"
+
+
+def measured_period(rep):
+    return TWO_PI / (rep.n * rep.omega_over_v)
 
 
 def test_period_square_unit_motion():
     # four-fold symmetry, omega/v = 1: maxima every pi/2 along the film
-    assert abs(period_estimate(ngon_image(4)) - math.pi / 2.0) < 1e-6
+    assert abs(measured_period(identify(ngon_image(4))) - math.pi / 2.0) < 1e-6
 
 
 def test_period_scales_with_omega():
-    assert abs(period_estimate(ngon_image(3, omega=2.0)) - math.pi / 3.0) < 1e-6
-
-
-def test_period_flat_curve_raises():
-    img = trace(SmoothContour.circle(1.0), MotionProfile(1.0, 1.0), TimeGrid(duration=4.0, samples=64))
-    with pytest.raises(InsufficientData):
-        period_estimate(img)
+    assert abs(measured_period(identify(ngon_image(3, omega=2.0))) - math.pi / 3.0) < 1e-6
 
 
 def test_period_single_maximum_raises():
     z = np.linspace(0.0, TWO_PI, 200)
     ys = 0.6 + 0.4 * np.cos(z - math.pi)
-    with pytest.raises(InsufficientData):
-        period_estimate(KinematicImage(z=z, y_s=ys, y_i=-ys))
+    with pytest.raises(InsufficientData, match="found 1 interior maxima"):
+        identify(KinematicImage(z=z, y_s=ys, y_i=-ys))
 
 
 def test_period_warns_on_uneven_spacing():
     shape = regular_ngon(4, 1.0)
     profile = MotionProfile(omega=[(0.0, 1.0), (TWO_PI, 3.0)], film_speed=1.0)
     img = trace(shape, profile, TimeGrid(duration=2 * TWO_PI, samples=8192))
-    notes = []
-    period_estimate(img, notes)
-    assert len(notes) == 1 and "spread" in notes[0]
+    notes = [w for w in identify(img).warnings if "spread" in w]
+    assert len(notes) == 1
 
 
 def test_identify_square():
@@ -214,6 +219,19 @@ def test_identify_survives_measurement_noise():
         rep = identify(KinematicImage(z=img.z, y_s=ys, y_i=yi))
         assert rep.n == n
         assert rep.parity == ("even" if n % 2 == 0 else "odd")
+
+
+def test_identify_parity_survives_measurement_noise():
+    # noise makes large n undercount, so only the parity is asserted
+    rng = np.random.default_rng(31)
+    R = 1.0
+    for n in range(3, 17):
+        img = ngon_image(n, circumradius=R, samples=8192)
+        sigma = 3e-3 * R
+        ys = img.y_s + rng.normal(0.0, sigma, len(img))
+        yi = img.y_i + rng.normal(0.0, sigma, len(img))
+        rep = identify(KinematicImage(z=img.z, y_s=ys, y_i=yi))
+        assert rep.parity == ("even" if n % 2 == 0 else "odd"), f"n={n}"
 
 
 def test_identify_warns_on_offset_midline():
