@@ -8,7 +8,7 @@ side count, size, parity, and motion ratio of a regular polygon from a
 trace (the inverse problem).
 """
 
-from .errors import ConvexityViolation, DegenerateImage, InsufficientData, MismatchedCase
+from .errors import ConvexityViolation, DegenerateImage, InsufficientData
 from .geometry import (
     ConvexPolygon,
     SmoothContour,
@@ -23,13 +23,7 @@ from .geometry import (
 )
 from .motion import MotionProfile, TimeGrid, integrate
 from .direct import ClosedFormCase, KinematicImage, closed_form, oracle_check, trace
-from .inverse import (
-    CIRCLE,
-    InverseReport,
-    extremes,
-    identify,
-    side_count,
-)
+from .inverse import CIRCLE, InverseReport, extremes, identify, side_count
 from .io import format_report, read_trace_csv, write_svg, write_trace_csv
 
 __version__ = "0.1.0"
@@ -43,7 +37,6 @@ __all__ = [
     "InsufficientData",
     "InverseReport",
     "KinematicImage",
-    "MismatchedCase",
     "MotionProfile",
     "SmoothContour",
     "TimeGrid",

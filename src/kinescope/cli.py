@@ -28,9 +28,18 @@ from .geometry import (
     regular_ngon,
     support_heights,
 )
-from .inverse import identify
+from .inverse import N_MAX_LIMIT, identify
 from .io import _read_table, format_report, read_trace_csv, write_svg, write_trace_csv
 from .motion import MotionProfile, TimeGrid, integrate
+
+
+def n_max(text: str) -> int:
+    """argparse type of ``--n-max``, so a bad value is never blamed on the trace."""
+    n = int(text)
+    if not 3 <= n <= N_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be from 3 to {N_MAX_LIMIT}, got {n}")
+    return n
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse", help="identify a regular polygon or circle from a trace CSV")
     p.add_argument("--in", dest="inp", required=True, help="input trace CSV")
     p.add_argument("--report", help="write the full key=value report here")
-    p.add_argument("--n-max", type=int, default=64, help="largest resolvable side count")
+    p.add_argument("--n-max", type=n_max, default=64,
+                   help=f"largest resolvable side count, 3..{N_MAX_LIMIT}")
 
     p = sub.add_parser("render", help="replot a trace CSV as SVG")
     p.add_argument("--in", dest="inp", required=True, help="input trace CSV")
@@ -217,8 +227,8 @@ def cmd_render(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _check_closed_form(shape: Shape, case: ClosedFormCase, tol: float) -> tuple[bool, str]:
-    err = oracle_check(shape, case, n_theta=512)
+def _check_closed_form(case: ClosedFormCase, tol: float) -> tuple[bool, str]:
+    err = oracle_check(case, n_theta=512)
     return err <= tol, f"max |generic - closed form| = {err:.3e} (tol {tol:.0e})"
 
 
@@ -274,21 +284,11 @@ def _check_roundtrip() -> tuple[bool, str]:
 
 # Each check takes the parsed ``check`` flags and returns (ok, detail).
 CHECKS = {
-    "circle-center": lambda ns: _check_closed_form(
-        SmoothContour.circle(ns.radius),
-        ClosedFormCase.circle_center(ns.radius), 1e-12),
-    "circle-rim": lambda ns: _check_closed_form(
-        SmoothContour.circle(ns.radius, (ns.radius, 0.0)),
-        ClosedFormCase.circle_rim(ns.radius), 1e-8),
-    "ellipse": lambda ns: _check_closed_form(
-        SmoothContour.ellipse(ns.a, ns.b),
-        ClosedFormCase.ellipse_center(ns.a, ns.b), 1e-8),
-    "square": lambda ns: _check_closed_form(
-        regular_ngon(4, ns.side * math.sqrt(2.0) / 2.0),
-        ClosedFormCase.square_center(ns.side), 1e-12),
-    "triangle": lambda ns: _check_closed_form(
-        regular_ngon(3, ns.side * math.sqrt(3.0) / 3.0),
-        ClosedFormCase.triangle_center(ns.side), 1e-12),
+    "circle-center": lambda ns: _check_closed_form(ClosedFormCase.circle_center(ns.radius), 1e-12),
+    "circle-rim": lambda ns: _check_closed_form(ClosedFormCase.circle_rim(ns.radius), 1e-8),
+    "ellipse": lambda ns: _check_closed_form(ClosedFormCase.ellipse_center(ns.a, ns.b), 1e-8),
+    "square": lambda ns: _check_closed_form(ClosedFormCase.square_center(ns.side), 1e-12),
+    "triangle": lambda ns: _check_closed_form(ClosedFormCase.triangle_center(ns.side), 1e-12),
     "reflection": lambda ns: _check_reflection(),
     "pole-invariance": lambda ns: _check_pole_invariance(),
     "roundtrip": lambda ns: _check_roundtrip(),

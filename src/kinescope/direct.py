@@ -4,9 +4,9 @@
 the support heights at all sampled angles in one call.  ``closed_form``
 evaluates the five cases that admit explicit formulas (circle about its
 centre, circle about a rim point, centred ellipse, centred square,
-centred equilateral triangle); ``oracle_check`` pits the generic path
-against those formulas and reports the worst disagreement, which is the
-main validation tool of the whole package.
+centred equilateral triangle); ``oracle_check(case)`` pits the generic
+path on ``case.shape()`` against the formula and reports the worst
+disagreement, which is the main validation tool of the whole package.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .errors import MismatchedCase
 from .geometry import (
     TWO_PI,
     ConvexPolygon,
@@ -120,6 +119,19 @@ class ClosedFormCase:
     def triangle_center(cls, side: float) -> "ClosedFormCase":
         return cls("triangle_center", float(side))
 
+    def shape(self) -> Shape:
+        """The shape this case's formula describes, pole included."""
+        a = self.a
+        if self.variant == "circle_center":
+            return SmoothContour.circle(a)
+        if self.variant == "circle_rim":
+            return SmoothContour.circle(a, (a, 0.0))
+        if self.variant == "ellipse_center":
+            return SmoothContour.ellipse(a, self.b)
+        if self.variant == "square_center":
+            return regular_ngon(4, a * math.sqrt(2.0) / 2.0)
+        return regular_ngon(3, a * math.sqrt(3.0) / 3.0)
+
 
 def trace(shape: Shape, m: MotionProfile, grid: TimeGrid) -> KinematicImage:
     """Kinematic image of ``shape`` under motion ``m`` on the given grid.
@@ -198,54 +210,16 @@ def _triangle_heights(a: float, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return ys, yi
 
 
-def _cyclic_match(v: np.ndarray, w: np.ndarray, tol: float) -> bool:
-    # Same vertex loop up to a cyclic relabeling of the starting vertex.
-    if v.shape != w.shape:
-        return False
-    for s in range(v.shape[0]):
-        if np.max(np.abs(np.roll(v, -s, axis=0) - w)) <= tol:
-            return True
-    return False
-
-
-def _case_matches(shape: Shape, case: ClosedFormCase) -> bool:
-    tol = 1e-9 * case.a
-    if case.variant in ("circle_center", "circle_rim"):
-        if not (isinstance(shape, SmoothContour) and shape.kind == "circle"):
-            return False
-        if abs(shape.a - case.a) > tol:
-            return False
-        target = (0.0, 0.0) if case.variant == "circle_center" else (case.a, 0.0)
-        return bool(np.max(np.abs(shape.pole_offset - np.asarray(target))) <= tol)
-    if case.variant == "ellipse_center":
-        return (
-            isinstance(shape, SmoothContour)
-            and shape.kind == "ellipse"
-            and abs(shape.a - case.a) <= tol
-            and abs(shape.b - case.b) <= tol
-            and np.max(np.abs(shape.pole_offset)) <= tol
-        )
-    n = 4 if case.variant == "square_center" else 3
-    circum = case.a * (math.sqrt(2.0) / 2.0 if n == 4 else math.sqrt(3.0) / 3.0)
-    if not (isinstance(shape, ConvexPolygon) and len(shape) == n):
-        return False
-    if np.max(np.abs(shape.pole_offset)) > tol:
-        return False
-    return _cyclic_match(shape.vertices, regular_ngon(n, circum).vertices, tol)
-
-
-def oracle_check(shape: Shape, case: ClosedFormCase, n_theta: int = 1000) -> float:
+def oracle_check(case: ClosedFormCase, n_theta: int = 1000) -> float:
     """Worst componentwise gap between the generic path and the closed form.
 
-    Evaluated at n_theta angles uniform over a full turn.  Raises
-    MismatchedCase when the shape does not describe the case's object,
-    so a passing number can never come from comparing the wrong pair.
+    Compares ``support_heights(case.shape(), theta)`` with
+    ``closed_form(case, theta)`` at n_theta angles uniform over a full
+    turn; the case builds its own shape, so the pair always matches.
     """
     if n_theta < 1:
         raise ValueError("n_theta must be >= 1")
-    if not _case_matches(shape, case):
-        raise MismatchedCase(f"shape {_describe(shape)} does not match case {case.variant}")
     thetas = TWO_PI * np.arange(n_theta) / n_theta
-    ys, yi = support_heights(shape, thetas)
+    ys, yi = support_heights(case.shape(), thetas)
     cs, ci = closed_form(case, thetas)
     return float(max(np.max(np.abs(ys - cs)), np.max(np.abs(yi - ci))))

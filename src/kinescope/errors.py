@@ -16,7 +16,3 @@ class DegenerateImage(ValueError):
 
 class InsufficientData(ValueError):
     """The trace does not cover enough structure for the requested estimate."""
-
-
-class MismatchedCase(ValueError):
-    """A shape was checked against a closed form describing a different object."""

@@ -37,6 +37,10 @@ EPS_PARITY = 1e-3
 # Below this absolute size the image is considered flat zero.
 DEGENERATE_EPS = 1e-12
 
+# Largest n_max: past it cos(pi/n_max) rounds to 1 and the CIRCLE gate
+# could never fire, so m = M would ask for an infinite side count.
+N_MAX_LIMIT = 298156826
+
 
 @dataclass(frozen=True)
 class InverseReport:
@@ -138,14 +142,14 @@ def side_count(m: float, M: float, n_max: int = 64):
     CIRCLE is returned when m/M exceeds cos(pi/n_max): past that point
     one sampling-noise quantum moves the answer by a whole side, so a
     count would be meaningless.  Raises ValueError unless 0 < m <= M and
-    3 <= n_max <= 298156826 (past which cos(pi/n_max) rounds to 1).
+    3 <= n_max <= N_MAX_LIMIT (past which cos(pi/n_max) rounds to 1).
     """
     if not m > 0:
         raise ValueError("m must be positive")
     if m > M:
         raise ValueError("m must not exceed M")
-    if n_max < 3 or math.cos(math.pi / n_max) == 1.0:
-        raise ValueError("n_max must be at least 3 and at most 298156826")
+    if not 3 <= n_max <= N_MAX_LIMIT:
+        raise ValueError(f"n_max must be at least 3 and at most {N_MAX_LIMIT}")
     ratio = _ratio(m, M)
     if ratio > math.cos(math.pi / n_max):
         return CIRCLE

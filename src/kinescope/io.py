@@ -30,10 +30,10 @@ LOWER_COLOR = "#e45756"
 
 def write_trace_csv(img: KinematicImage, path: PathLike) -> None:
     """Write the trace as CSV with header ``z,ys,yi``, one sample per line."""
-    lines = [CSV_HEADER]
-    for z, ys, yi in zip(img.z, img.y_s, img.y_i):
-        lines.append(f"{z:.17g},{ys:.17g},{yi:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = zip(img.z.tolist(), img.y_s.tolist(), img.y_i.tolist())
+    with open(path, "w", encoding="ascii") as f:
+        f.write(CSV_HEADER + "\n")
+        f.writelines(f"{z:.17g},{ys:.17g},{yi:.17g}\n" for z, ys, yi in rows)
 
 
 def _read_table(path: PathLike, header: str) -> np.ndarray:

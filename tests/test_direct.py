@@ -5,7 +5,6 @@ import pytest
 
 from kinescope import (
     ClosedFormCase,
-    ConvexPolygon,
     KinematicImage,
     MotionProfile,
     SmoothContour,
@@ -15,7 +14,6 @@ from kinescope import (
     regular_ngon,
     trace,
 )
-from kinescope.errors import MismatchedCase
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,24 +130,37 @@ def test_closed_form_reduces_angle():
 
 
 def test_oracle_check_worked_cases():
-    assert oracle_check(SmoothContour.circle(1.0), ClosedFormCase.circle_center(1.0), 64) < 1e-12
-    sq = regular_ngon(4, math.sqrt(2.0) / 2.0)
-    assert oracle_check(sq, ClosedFormCase.square_center(1.0), 500) < 1e-12
-    e = SmoothContour.ellipse(2.0, 1.0)
-    assert oracle_check(e, ClosedFormCase.ellipse_center(2.0, 1.0), 200) < 1e-8
+    # The default sizes, then all five variants at other sizes, at the
+    # tolerances of ``kinescope check``.
+    for case, n_theta, tol in (
+        (ClosedFormCase.circle_center(1.0), 64, 1e-12),
+        (ClosedFormCase.square_center(1.0), 500, 1e-12),
+        (ClosedFormCase.ellipse_center(2.0, 1.0), 200, 1e-8),
+        (ClosedFormCase.circle_center(0.7), 64, 1e-12),
+        (ClosedFormCase.circle_rim(2.5), 300, 1e-8),
+        (ClosedFormCase.ellipse_center(3.0, 1.5), 200, 1e-8),
+        (ClosedFormCase.square_center(3.0), 500, 1e-12),
+        (ClosedFormCase.triangle_center(2.5), 500, 1e-12),
+    ):
+        assert oracle_check(case, n_theta) < tol, case.variant
 
 
-def test_oracle_check_rejects_mismatches():
-    with pytest.raises(MismatchedCase):
-        oracle_check(SmoothContour.circle(1.0), ClosedFormCase.circle_center(2.0), 16)
-    with pytest.raises(MismatchedCase):
-        oracle_check(SmoothContour.ellipse(2.0, 1.0), ClosedFormCase.square_center(1.0), 16)
-    with pytest.raises(MismatchedCase):
-        # pole on the rim does not match the centered case
-        oracle_check(SmoothContour.circle(1.0, (1.0, 0.0)), ClosedFormCase.circle_center(1.0), 16)
-    rotated = ConvexPolygon(regular_ngon(4, 1.0).vertices @ np.array([[0.98, -0.2], [0.2, 0.98]]).T)
-    with pytest.raises(MismatchedCase):
-        oracle_check(rotated, ClosedFormCase.square_center(math.sqrt(2.0)), 16)
+def test_closed_form_case_shape_geometry():
+    square = ClosedFormCase.square_center(1.0).shape()
+    corners = {(float(x), float(y)) for x, y in np.round(square.vertices, 12)}
+    assert corners == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
+    assert np.array_equal(square.pole_offset, [0.0, 0.0])
+    rim = ClosedFormCase.circle_rim(2.5).shape()
+    assert (rim.kind, rim.a) == ("circle", 2.5)
+    assert np.array_equal(rim.pole_offset, [2.5, 0.0])
+    centre = ClosedFormCase.circle_center(0.7).shape()
+    assert (centre.kind, centre.a) == ("circle", 0.7)
+    assert np.array_equal(centre.pole_offset, [0.0, 0.0])
+    ellipse = ClosedFormCase.ellipse_center(3.0, 1.5).shape()
+    assert (ellipse.kind, ellipse.a, ellipse.b) == ("ellipse", 3.0, 1.5)
+    triangle = ClosedFormCase.triangle_center(2.5).shape()
+    sides = np.linalg.norm(triangle.vertices - np.roll(triangle.vertices, 1, axis=0), axis=1)
+    assert np.max(np.abs(sides - 2.5)) < 1e-12
 
 
 def test_closed_form_case_validation():

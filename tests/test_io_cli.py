@@ -205,6 +205,14 @@ def test_cli_check_single_case(tmp_path, capsys):
     assert out.startswith("PASS square")
 
 
+def test_cli_check_closed_forms_at_custom_sizes(capsys):
+    for args in (["ellipse", "--a", "3", "--b", "1.5"], ["circle-rim", "--radius", "2.5"],
+                 ["square", "--side", "3"], ["triangle", "--side", "2.5"],
+                 ["circle-center", "--radius", "0.7"]):
+        assert run(["check", "--case", *args]) == 0
+        assert capsys.readouterr().out.startswith(f"PASS {args[0]}:")
+
+
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     assert run(["inverse"]) == 2  # missing --in
@@ -218,6 +226,12 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,1\n")
     assert run(["inverse", "--in", str(bad)]) == 2
+    # --n-max is range-checked before the trace is read, so a flat trace
+    # (exit 4 with a valid --n-max) still exits 2 here
+    flat = tmp_path / "flat.csv"
+    flat.write_text("z,ys,yi\n0,0,0\n1,0,0\n2,0,0\n")
+    assert run(["inverse", "--in", str(flat), "--n-max", "2"]) == 2
+    assert run(["inverse", "--in", str(flat), "--n-max", "298156827"]) == 2
     capsys.readouterr()
 
 
