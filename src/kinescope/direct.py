@@ -2,26 +2,27 @@
 
 ``trace`` drives the generic machinery: integrate the motion, then query
 the support heights at all sampled angles in one call.  ``closed_form``
-evaluates the five cases that admit explicit formulas (circle about its
-centre, circle about a rim point, centred ellipse, centred square,
-centred equilateral triangle); ``oracle_check(case)`` pits the generic
-path on ``case.shape()`` against the formula and reports the worst
-disagreement, which is the main validation tool of the whole package.
+evaluates the five cases that admit explicit formulas with two support
+functions: the ellipse's for the conics (circle about its centre, circle
+about a rim point, centred ellipse) and the regular n-gon's for the
+centred square and equilateral triangle.  ``oracle_check(case)`` pits
+the generic path on ``case.shape()`` against the formula and reports the
+worst disagreement, which is the main validation tool of the whole
+package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from .geometry import (
     TWO_PI,
-    ConvexPolygon,
     Shape,
     SmoothContour,
+    ngon_upper,
     reduce_angle,
     regular_ngon,
     support_heights,
@@ -36,15 +37,12 @@ class KinematicImage:
     """Sampled trace: film positions z with upper/lower heights at each.
 
     z must be strictly increasing and y_s >= y_i at every sample; the
-    arrays are copied and frozen.  ``meta`` optionally records how the
-    image was produced (shape description, profile, grid) and is carried
-    along untouched.
+    arrays are copied and frozen.
     """
 
     z: np.ndarray
     y_s: np.ndarray
     y_i: np.ndarray
-    meta: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -81,7 +79,8 @@ class ClosedFormCase:
 
     ``a`` is the radius for the circle variants, the larger semi-axis for
     the ellipse, and the side length for the square and the triangle;
-    ``b`` is the smaller semi-axis and only the ellipse uses it.
+    ``b`` is the ellipse's smaller semi-axis; the other variants have no
+    second dimension and take b = 0.
     """
 
     variant: str
@@ -91,13 +90,16 @@ class ClosedFormCase:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.a > 0:
-            raise ValueError("dimension a must be positive")
+        # The conic formula squares a; a float multiply overflows to inf.
+        if not (self.a > 0 and self.a * self.a < math.inf):
+            raise ValueError("dimension a must be positive, with a finite square")
         if self.variant == "ellipse_center":
             if not self.b > 0:
                 raise ValueError("ellipse needs b > 0")
             if self.a < self.b:
                 raise ValueError("ellipse closed form expects a >= b")
+        elif self.b != 0:
+            raise ValueError(f"only the ellipse takes b; {self.variant} got b={self.b!r}")
 
     @classmethod
     def circle_center(cls, a: float) -> "ClosedFormCase":
@@ -119,18 +121,20 @@ class ClosedFormCase:
     def triangle_center(cls, side: float) -> "ClosedFormCase":
         return cls("triangle_center", float(side))
 
+    def _ngon(self) -> tuple[int, float]:
+        """(n, circumradius) of the square or the triangle of side a."""
+        if self.variant == "square_center":
+            return 4, self.a * math.sqrt(2.0) / 2.0
+        return 3, self.a * math.sqrt(3.0) / 3.0
+
     def shape(self) -> Shape:
         """The shape this case's formula describes, pole included."""
         a = self.a
-        if self.variant == "circle_center":
-            return SmoothContour.circle(a)
-        if self.variant == "circle_rim":
-            return SmoothContour.circle(a, (a, 0.0))
+        if self.variant in ("square_center", "triangle_center"):
+            return regular_ngon(*self._ngon())
         if self.variant == "ellipse_center":
             return SmoothContour.ellipse(a, self.b)
-        if self.variant == "square_center":
-            return regular_ngon(4, a * math.sqrt(2.0) / 2.0)
-        return regular_ngon(3, a * math.sqrt(3.0) / 3.0)
+        return SmoothContour.circle(a, (a, 0.0) if self.variant == "circle_rim" else (0.0, 0.0))
 
 
 def trace(shape: Shape, m: MotionProfile, grid: TimeGrid) -> KinematicImage:
@@ -143,71 +147,29 @@ def trace(shape: Shape, m: MotionProfile, grid: TimeGrid) -> KinematicImage:
     t = grid.times()
     theta, z = integrate(m, t)
     ys, yi = support_heights(shape, theta)
-    meta = {"shape": _describe(shape), "profile": m, "grid": grid}
-    return KinematicImage(z=z, y_s=ys, y_i=yi, meta=meta)
-
-
-def _describe(shape: Shape) -> str:
-    if isinstance(shape, ConvexPolygon):
-        return f"polygon[{len(shape)}]"
-    return shape.kind
+    return KinematicImage(z=z, y_s=ys, y_i=yi)
 
 
 def closed_form(case: ClosedFormCase, theta):
     """(Y_s, Y_i) for a worked case; theta is a scalar or an array.
 
-    Angles are reduced to [0, 2*pi) first so the piecewise branches can
-    compare against their interval bounds directly.
+    Each case is one of two support functions.  The square and the
+    triangle use the regular n-gon's ``ngon_upper``, whose lower curve is
+    the upper one half a turn on.  The conics use the centred ellipse's
+    sqrt(a^2 sin^2 + b^2 cos^2), with b = a for both circles, and are
+    symmetric.  A rim pole lifts both curves by a*sin(theta).  Angles are
+    reduced to [0, 2*pi) first, so the result is exactly 2*pi-periodic.
     """
     th = reduce_angle(np.asarray(theta, dtype=float))
-    th = np.asarray(th, dtype=float)
-    scalar = th.ndim == 0
-    if scalar:
-        th = th[None]
-
     a = case.a
-    if case.variant == "circle_center":
-        ys = np.full_like(th, a)
-        yi = -ys
-    elif case.variant == "circle_rim":
-        ys = a * (np.sin(th) + 1.0)
-        yi = a * (np.sin(th) - 1.0)
-    elif case.variant == "ellipse_center":
-        ys = np.sqrt(a**2 * np.sin(th) ** 2 + case.b**2 * np.cos(th) ** 2)
-        yi = -ys
-    elif case.variant == "square_center":
-        ys = _square_upper(a, th)
-        yi = -ys
+    if case.variant in ("square_center", "triangle_center"):
+        n, R = case._ngon()
+        up, down = ngon_upper(n, R, th), ngon_upper(n, R, th + math.pi)
     else:
-        ys, yi = _triangle_heights(a, th)
-
-    if scalar:
-        return float(ys[0]), float(yi[0])
-    return ys, yi
-
-
-def _square_upper(a: float, th: np.ndarray) -> np.ndarray:
-    # One controlling corner per quarter turn; the four projections are
-    # (a/2)(+-sin +- cos) with the sign pattern cycling A, D, C, B.
-    q = np.clip((th // (math.pi / 2)).astype(int), 0, 3)
-    sx = np.array([1.0, 1.0, -1.0, -1.0])[q]
-    sy = np.array([1.0, -1.0, -1.0, 1.0])[q]
-    return 0.5 * a * (sx * np.sin(th) + sy * np.cos(th))
-
-
-def _triangle_heights(a: float, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = a * math.sqrt(3.0) / 6.0
-    f_a = c * (math.sqrt(3.0) * np.sin(th) + np.cos(th))
-    f_b = c * (-math.sqrt(3.0) * np.sin(th) + np.cos(th))
-    f_c = -2.0 * c * np.cos(th)
-
-    third = TWO_PI / 3.0
-    ju = np.clip((th // third).astype(int), 0, 2)
-    ys = np.choose(ju, [f_a, f_c, f_b])
-
-    jl = np.digitize(th, [math.pi / 3.0, math.pi, 5.0 * math.pi / 3.0])
-    yi = np.choose(jl, [f_c, f_b, f_a, f_c])
-    return ys, yi
+        b = case.b if case.variant == "ellipse_center" else a
+        up = down = np.sqrt(a**2 * np.sin(th) ** 2 + b**2 * np.cos(th) ** 2)
+    lift = a * np.sin(th) if case.variant == "circle_rim" else 0.0
+    return lift + up, lift - down
 
 
 def oracle_check(case: ClosedFormCase, n_theta: int = 1000) -> float:

@@ -84,8 +84,10 @@ class SmoothContour:
     boundary point at parameter beta lies at ``pole_offset + point(beta)``
     relative to the pole.
 
-    Use the classmethods ``circle``, ``ellipse`` and ``from_polar``; the
-    raw constructor is not validated for the polar case.
+    There are two kinds: ``"ellipse"`` (semi-axes a >= b) and ``"polar"``
+    (a periodic spline r(beta)).  Use the classmethods ``ellipse``,
+    ``circle`` (the ellipse with a = b) and ``from_polar``; the raw
+    constructor is not validated for the polar case.
     """
 
     kind: str
@@ -97,20 +99,18 @@ class SmoothContour:
 
     def __post_init__(self):
         object.__setattr__(self, "pole_offset", _as_vec2(self.pole_offset, "pole_offset"))
-        if self.kind not in ("circle", "ellipse", "polar"):
+        if self.kind not in ("ellipse", "polar"):
             raise ValueError(f"unknown contour kind {self.kind!r}")
-        if self.kind == "circle" and not self.a > 0:
-            raise ValueError("circle radius must be positive")
         if self.kind == "ellipse":
-            if not (self.a > 0 and self.b > 0):
-                raise ValueError("ellipse semi-axes must be positive")
+            if not all(0 < x < math.inf for x in (self.a, self.b)):
+                raise ValueError("semi-axes (a circle's radius) must be positive and finite")
             if self.a < self.b:
                 raise ValueError("ellipse is parametrized with a >= b; swap the axes")
 
     @classmethod
     def circle(cls, radius: float, pole_offset: ArrayLike = (0.0, 0.0)) -> "SmoothContour":
-        """Circle of the given radius, centre at ``pole_offset`` from the pole."""
-        return cls(kind="circle", a=float(radius), pole_offset=pole_offset)
+        """The ellipse with a = b = radius, centre at ``pole_offset`` from the pole."""
+        return cls.ellipse(radius, radius, pole_offset)
 
     @classmethod
     def ellipse(cls, a: float, b: float, pole_offset: ArrayLike = (0.0, 0.0)) -> "SmoothContour":
@@ -231,6 +231,17 @@ def regular_ngon(n: int, circumradius: float) -> ConvexPolygon:
     return ConvexPolygon(circumradius * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
+def ngon_upper(n: int, circumradius: float, theta):
+    """Upper support height of ``regular_ngon(n, circumradius)`` at theta.
+
+    The vertex nearest the top is mod(theta, s) - s/2 off vertical, with
+    s = 2*pi/n, so the height is R*cos of that.  The lower curve is
+    ``-ngon_upper(n, R, theta + pi)``.
+    """
+    s = TWO_PI / n
+    return circumradius * np.cos(np.mod(theta, s) - 0.5 * s)
+
+
 def contour_point(c: SmoothContour, beta):
     """Boundary point at parameter beta, relative to the contour centre.
 
@@ -238,10 +249,7 @@ def contour_point(c: SmoothContour, beta):
     (..., 2) with the components stacked on the last axis).
     """
     b = np.asarray(beta, dtype=float)
-    if c.kind == "circle":
-        x = c.a * np.cos(b)
-        y = c.a * np.sin(b)
-    elif c.kind == "ellipse":
+    if c.kind == "ellipse":
         x = c.a * np.cos(b)
         y = c.b * np.sin(b)
     else:
@@ -254,10 +262,7 @@ def contour_point(c: SmoothContour, beta):
 def contour_tangent(c: SmoothContour, beta):
     """Derivative of ``contour_point`` with respect to beta (not normalized)."""
     b = np.asarray(beta, dtype=float)
-    if c.kind == "circle":
-        x = -c.a * np.sin(b)
-        y = c.a * np.cos(b)
-    elif c.kind == "ellipse":
+    if c.kind == "ellipse":
         x = -c.a * np.sin(b)
         y = c.b * np.cos(b)
     else:

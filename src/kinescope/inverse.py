@@ -20,7 +20,7 @@ import numpy as np
 
 from .direct import KinematicImage
 from .errors import DegenerateImage, InsufficientData
-from .geometry import TWO_PI
+from .geometry import TWO_PI, ngon_upper
 
 # Sentinel side count for images whose m/M ratio is beyond the resolvable
 # polygon range.  Compared with `is` or `==`; it is a plain string so it
@@ -240,13 +240,12 @@ def _aligned_residual(
 ) -> float:
     """RMS gap between the upper curve and a re-synthesized n-gon envelope.
 
-    That envelope is M*cos(mod(theta + phi, s) - s/2) with s = 2*pi/n,
-    the vertex nearest the top being mod(theta + phi, s) - s/2 off
-    vertical; its phase phi is free.  Each maximum of the upper
-    curve is an angle at which a vertex points straight up, where
-    theta + phi = pi/n modulo the sector 2*pi/n; the circular mean of
-    those phases is the starting phase, which scipy's bounded scalar
-    minimizer polishes within a fiftieth of a sector.
+    That envelope is ``ngon_upper(n, M, theta + phi)``; its phase phi is
+    free.  Each maximum of the upper curve is an angle at which a vertex
+    points straight up, where theta + phi = pi/n modulo the sector
+    2*pi/n; the circular mean of those phases is the starting phase,
+    which scipy's bounded scalar minimizer polishes within a fiftieth of
+    a sector.
     """
     from scipy.optimize import minimize_scalar
 
@@ -255,7 +254,7 @@ def _aligned_residual(
     sector = TWO_PI / n
 
     def gap(phi: float) -> float:
-        return _rms(ysc - M * np.cos(np.mod(theta + phi, sector) - 0.5 * sector))
+        return _rms(ysc - ngon_upper(n, M, theta + phi))
 
     peak_theta = omega_over_v * (peaks_z - img.z[0])
     # n * (pi/n - theta) wraps the sector once around the unit circle.

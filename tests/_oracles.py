@@ -79,8 +79,6 @@ def shape_diameter(shape) -> float:
         v = shape.vertices
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
-    if shape.kind == "circle":
-        return 2.0 * shape.a
     if shape.kind == "ellipse":
         return 2.0 * shape.a
     beta = TWO_PI * np.arange(720) / 720

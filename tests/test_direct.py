@@ -41,12 +41,10 @@ def test_trace_ellipse_matches_closed_curve():
     assert np.max(np.abs(img.y_s - want)) < 1e-8
 
 
-def test_trace_sample_count_and_meta():
+def test_trace_sample_count():
     grid = TimeGrid(duration=1.0, samples=33)
     img = trace(regular_ngon(5, 1.0), UNIT_MOTION, grid)
     assert len(img) == grid.samples
-    assert img.meta["grid"] is grid
-    assert img.meta["shape"] == "polygon[5]"
 
 
 def test_rim_wave_spans_zero_to_two_a():
@@ -151,10 +149,10 @@ def test_closed_form_case_shape_geometry():
     assert corners == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
     assert np.array_equal(square.pole_offset, [0.0, 0.0])
     rim = ClosedFormCase.circle_rim(2.5).shape()
-    assert (rim.kind, rim.a) == ("circle", 2.5)
+    assert (rim.kind, rim.a, rim.b) == ("ellipse", 2.5, 2.5)
     assert np.array_equal(rim.pole_offset, [2.5, 0.0])
     centre = ClosedFormCase.circle_center(0.7).shape()
-    assert (centre.kind, centre.a) == ("circle", 0.7)
+    assert (centre.kind, centre.a, centre.b) == ("ellipse", 0.7, 0.7)
     assert np.array_equal(centre.pole_offset, [0.0, 0.0])
     ellipse = ClosedFormCase.ellipse_center(3.0, 1.5).shape()
     assert (ellipse.kind, ellipse.a, ellipse.b) == ("ellipse", 3.0, 1.5)
@@ -170,6 +168,17 @@ def test_closed_form_case_validation():
         ClosedFormCase.circle_center(0.0)
     with pytest.raises(ValueError):
         ClosedFormCase.ellipse_center(1.0, 2.0)
+    for bad in (math.inf, math.nan, 1e200):
+        with pytest.raises(ValueError):
+            ClosedFormCase.circle_center(bad)
+    with pytest.raises(ValueError):
+        ClosedFormCase.ellipse_center(1e200, 1.0)  # a**2 would overflow
+    # Only the ellipse has a second dimension.
+    with pytest.raises(ValueError):
+        ClosedFormCase("square_center", 1.0, 5.0)
+    with pytest.raises(ValueError):
+        ClosedFormCase("circle_rim", 1.0, -3.0)
+    assert ClosedFormCase("square_center", 1.0) == ClosedFormCase.square_center(1.0)
 
 
 def test_kinematic_image_validation():

@@ -17,6 +17,7 @@ from kinescope import (
     tangency_roots,
 )
 from kinescope.errors import ConvexityViolation
+from kinescope.geometry import ngon_upper
 
 from _oracles import (
     brute_heights,
@@ -239,6 +240,29 @@ def test_regular_ngon_rejects_bad_args():
         regular_ngon(2, 1.0)
     with pytest.raises(ValueError):
         regular_ngon(5, 0.0)
+
+
+def test_ngon_upper_matches_polygon_envelope():
+    # Every side count identify can return at its default n_max = 64, over
+    # negative angles and several turns.
+    theta = np.linspace(-3.0 * TWO_PI, 4.0 * TWO_PI, 2001)
+    for n in range(3, 65):
+        for radius in (0.3, 1.0, 2.7):
+            ys, yi, _, _ = polygon_envelope(regular_ngon(n, radius), theta)
+            assert np.max(np.abs(ngon_upper(n, radius, theta) - ys)) < 1e-12
+            assert np.max(np.abs(-ngon_upper(n, radius, theta + math.pi) - yi)) < 1e-12
+
+
+def test_smooth_contour_sizes_must_be_positive_and_finite():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SmoothContour.circle(bad)
+        with pytest.raises(ValueError):
+            SmoothContour.ellipse(bad, 1.0)
+        with pytest.raises(ValueError):
+            SmoothContour.ellipse(2.0, bad)
+    with pytest.raises(ValueError):
+        SmoothContour.ellipse(1.0, 2.0)  # a < b
 
 
 def test_convex_polygon_requires_strict_ccw():

@@ -34,7 +34,6 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.z, img.z)
     assert np.array_equal(back.y_s, img.y_s)
     assert np.array_equal(back.y_i, img.y_i)
-    assert back.meta is None
 
 
 def test_csv_read_errors_name_the_line(tmp_path):
@@ -223,6 +222,10 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
                 "--duration", "1", "--out", str(csv)]) == 2
     assert run(["direct", "--shape", "ngon", "--sides", "0", "--side-length", "1",
                 "--out", str(csv)]) == 2
+    # an infinite size is a usage error, not a convexity violation
+    assert run(["direct", "--shape", "circle", "--radius", "inf", "--out", str(csv)]) == 2
+    assert run(["direct", "--shape", "ellipse", "--a", "inf", "--b", "1", "--out", str(csv)]) == 2
+    assert run(["check", "--case", "circle-center", "--radius", "inf"]) == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,1\n")
     assert run(["inverse", "--in", str(bad)]) == 2
