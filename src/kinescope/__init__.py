@@ -13,13 +13,9 @@ from .geometry import (
     ConvexPolygon,
     SmoothContour,
     contour_point,
-    contour_tangent,
     polygon_envelope,
-    reduce_angle,
     regular_ngon,
-    rot_proj,
     support_heights,
-    tangency_roots,
 )
 from .motion import MotionProfile, TimeGrid, integrate
 from .direct import ClosedFormCase, KinematicImage, closed_form, oracle_check, trace
@@ -42,7 +38,6 @@ __all__ = [
     "TimeGrid",
     "closed_form",
     "contour_point",
-    "contour_tangent",
     "extremes",
     "format_report",
     "identify",
@@ -50,12 +45,9 @@ __all__ = [
     "oracle_check",
     "polygon_envelope",
     "read_trace_csv",
-    "reduce_angle",
     "regular_ngon",
-    "rot_proj",
     "side_count",
     "support_heights",
-    "tangency_roots",
     "trace",
     "write_svg",
     "write_trace_csv",

@@ -121,11 +121,7 @@ def _read_pairs(path: str, flag: str) -> list[tuple[float, float]]:
 
 def _pole_offset(ns: argparse.Namespace, default: tuple[float, float]) -> np.ndarray:
     x, y = default
-    if ns.pole_x is not None:
-        x = ns.pole_x
-    if ns.pole_y is not None:
-        y = ns.pole_y
-    return np.array([x, y])
+    return np.array([x if ns.pole_x is None else ns.pole_x, y if ns.pole_y is None else ns.pole_y])
 
 
 def _build_shape(ns: argparse.Namespace) -> Shape:
@@ -168,7 +164,7 @@ def _build_profile(ns: argparse.Namespace) -> MotionProfile:
     try:
         return MotionProfile(omega=omega, film_speed=speed, theta0=ns.theta0)
     except ValueError as exc:
-        raise ValueError(f"--omega/--speed: {exc}") from None
+        raise ValueError(f"--omega/--speed/--theta0: {exc}") from None
 
 
 def _build_grid(ns: argparse.Namespace, profile: MotionProfile) -> TimeGrid:
@@ -227,9 +223,8 @@ def cmd_render(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _check_closed_form(case: ClosedFormCase, tol: float) -> tuple[bool, str]:
-    err = oracle_check(case, n_theta=512)
-    return err <= tol, f"max |generic - closed form| = {err:.3e} (tol {tol:.0e})"
+def _check_closed_form(case: ClosedFormCase) -> tuple[float, str]:
+    return oracle_check(case, n_theta=512) / case.a, "max |generic - closed form| / a"
 
 
 def _random_test_shapes(rng: np.random.Generator, count: int) -> list[Shape]:
@@ -246,7 +241,7 @@ def _random_test_shapes(rng: np.random.Generator, count: int) -> list[Shape]:
     return shapes
 
 
-def _check_reflection() -> tuple[bool, str]:
+def _check_reflection() -> tuple[float, str]:
     rng = np.random.default_rng(0)
     worst = 0.0
     for shape in _random_test_shapes(rng, 12):
@@ -254,10 +249,10 @@ def _check_reflection() -> tuple[bool, str]:
         ys_pi, _ = support_heights(shape, th + math.pi)
         _, yi = support_heights(shape, th)
         worst = max(worst, float(np.max(np.abs(yi + ys_pi))))
-    return worst <= 1e-10, f"max |Y_i(t) + Y_s(t+pi)| = {worst:.3e} (tol 1e-10)"
+    return worst, "max |Y_i(t) + Y_s(t+pi)|"
 
 
-def _check_pole_invariance() -> tuple[bool, str]:
+def _check_pole_invariance() -> tuple[float, str]:
     rng = np.random.default_rng(1)
     worst = 0.0
     for shape in _random_test_shapes(rng, 12):
@@ -266,10 +261,10 @@ def _check_pole_invariance() -> tuple[bool, str]:
         ys0, yi0 = support_heights(shape, th)
         ys1, yi1 = support_heights(moved, th)
         worst = max(worst, float(np.max(np.abs((ys1 - yi1) - (ys0 - yi0)))))
-    return worst <= 1e-9, f"max width deviation under pole moves = {worst:.3e} (tol 1e-9)"
+    return worst, "max width deviation under pole moves"
 
 
-def _check_roundtrip() -> tuple[bool, str]:
+def _check_roundtrip() -> tuple[float, str]:
     worst_rel = 0.0
     for n in range(3, 9):
         radius = 1.0 + 0.1 * n
@@ -277,21 +272,22 @@ def _check_roundtrip() -> tuple[bool, str]:
         grid = TimeGrid(duration=TWO_PI, samples=1024 * n)
         rep = identify(trace(regular_ngon(n, radius), profile, grid))
         if rep.n != n:
-            return False, f"n={n} identified as {rep.n}"
+            return math.inf, f"n={n} identified as {rep.n}; |M-R|/R"
         worst_rel = max(worst_rel, abs(rep.circumradius_M - radius) / radius)
-    return worst_rel <= 1e-4, f"n=3..8 exact; max |M-R|/R = {worst_rel:.3e} (tol 1e-4)"
+    return worst_rel, "n=3..8 exact; max |M-R|/R"
 
 
-# Each check takes the parsed ``check`` flags and returns (ok, detail).
+# Each check takes the parsed ``check`` flags and returns (worst, what it
+# measures), and passes when worst <= tol; closed-form gaps are relative to a.
 CHECKS = {
-    "circle-center": lambda ns: _check_closed_form(ClosedFormCase.circle_center(ns.radius), 1e-12),
-    "circle-rim": lambda ns: _check_closed_form(ClosedFormCase.circle_rim(ns.radius), 1e-8),
-    "ellipse": lambda ns: _check_closed_form(ClosedFormCase.ellipse_center(ns.a, ns.b), 1e-8),
-    "square": lambda ns: _check_closed_form(ClosedFormCase.square_center(ns.side), 1e-12),
-    "triangle": lambda ns: _check_closed_form(ClosedFormCase.triangle_center(ns.side), 1e-12),
-    "reflection": lambda ns: _check_reflection(),
-    "pole-invariance": lambda ns: _check_pole_invariance(),
-    "roundtrip": lambda ns: _check_roundtrip(),
+    "circle-center": (lambda ns: _check_closed_form(ClosedFormCase.circle_center(ns.radius)), 1e-12),
+    "circle-rim": (lambda ns: _check_closed_form(ClosedFormCase.circle_rim(ns.radius)), 1e-8),
+    "ellipse": (lambda ns: _check_closed_form(ClosedFormCase.ellipse_center(ns.a, ns.b)), 1e-8),
+    "square": (lambda ns: _check_closed_form(ClosedFormCase.square_center(ns.side)), 1e-12),
+    "triangle": (lambda ns: _check_closed_form(ClosedFormCase.triangle_center(ns.side)), 1e-12),
+    "reflection": (lambda ns: _check_reflection(), 1e-10),
+    "pole-invariance": (lambda ns: _check_pole_invariance(), 1e-9),
+    "roundtrip": (lambda ns: _check_roundtrip(), 1e-4),
 }
 
 
@@ -300,8 +296,10 @@ def cmd_check(ns: argparse.Namespace) -> int:
     names = [ns.case] if ns.case else list(CHECKS)
     failures = 0
     for name in names:
-        ok, detail = CHECKS[name](ns)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        check, tol = CHECKS[name]
+        worst, what = check(ns)
+        ok = worst <= tol
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {what} = {worst:.3e} (tol {tol:.0e})")
         if not ok:
             failures += 1
     return 1 if failures else 0

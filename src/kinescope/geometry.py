@@ -4,9 +4,9 @@ A shape spins about a fixed pole while we record, for each rotation angle
 theta, the highest and lowest points of its silhouette measured along the
 lab Y axis.  For smooth contours those heights come from the two boundary
 points whose tangent turns horizontal after rotation; for polygons they
-come from the extreme vertices.  Everything downstream (trace synthesis,
-closed-form checks, identification) is built on the two functions
-``support_heights`` and ``polygon_envelope`` defined here.
+come from the extreme vertices.  Trace synthesis is built on
+``support_heights``, and the n-gon closed forms and identification on
+the regular n-gon's support function ``ngon_upper``, both defined here.
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvexityViolation
 
 TWO_PI = 2.0 * math.pi
 
-# Coarse scan density for bracketing tangency roots.  720 samples keeps
-# every sign change of the projected tangent isolated for any contour
-# whose support point moves reasonably with beta; it is far more than a
-# strictly convex contour needs, and cheap.
+# Grid density for bracketing tangency roots.  The highest and the lowest
+# of 720 boundary samples each sit in or next to the grid cell that holds
+# a root, and that cell is then bisected; 720 is far more than a strictly
+# convex contour needs, and cheap.
 SCAN_SAMPLES = 720
 
 # Bisection stops when the bracket is narrower than this.  The support
@@ -146,6 +145,7 @@ class SmoothContour:
             raise ValueError("beta samples must span less than one full turn")
         if not np.all(r > 0):
             raise ValueError("polar radii must be positive")
+        from scipy.interpolate import CubicSpline
 
         knots = np.concatenate([beta, [beta[0] + TWO_PI]])
         values = np.concatenate([r, [r[0]]])
@@ -293,11 +293,14 @@ def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
 
     The projected tangent g(beta) = tx*sin(theta) + ty*cos(theta) is the
     derivative of the rotated point's Y coordinate, so its roots are the
-    support points.  g is scanned on a 720-point grid and each sign change
-    is closed down by bisection to a bracket of width 1e-14.  A strictly
-    convex contour crosses zero exactly twice; any other count raises
-    ConvexityViolation.
+    support points.  On a strictly convex contour that height has one
+    maximum and one minimum over a turn, so the highest and the lowest
+    of 720 grid points each sit next to one root.  The sign of g there
+    says whether the root lies in the grid cell after or before it, and
+    that one cell is closed down by bisection to a width of 1e-14.
     """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     s, co = math.sin(theta), math.cos(theta)
 
     def g(beta):
@@ -305,27 +308,20 @@ def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
         return t[..., 0] * s + t[..., 1] * co
 
     grid = TWO_PI * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES
-    vals = g(grid)
 
-    roots = [float(grid[k]) for k in np.flatnonzero(vals == 0.0)]
-    nxt = np.roll(vals, -1)
-    for k in np.flatnonzero(vals * nxt < 0.0):
-        lo = float(grid[k])
-        hi = lo + TWO_PI / SCAN_SAMPLES
-        roots.append(_bisect(g, lo, hi, float(vals[k])))
+    def root(k: int, rising: float) -> float:
+        # rising is +1 at the maximum, -1 at the minimum.  While the height still
+        # moves toward the extreme at grid[k], the root is in the cell after it;
+        # else in the cell before (grid[-1] wraps), whose start has g's sign -g_k.
+        g_k = float(g(grid[k]))
+        if g_k == 0.0:
+            return float(grid[k])
+        lo, g_lo = (float(grid[k]), g_k) if g_k * rising > 0 else (float(grid[k - 1]), -g_k)
+        return _bisect(g, lo, lo + TWO_PI / SCAN_SAMPLES, g_lo)
 
-    if len(roots) != 2:
-        raise ConvexityViolation(
-            f"projected tangent has {len(roots)} roots at theta={theta:.6g}; "
-            "a strictly convex contour has exactly two"
-        )
-
-    y = [float(rot_proj(contour_point(c, b), theta)) for b in roots]
-    if y[0] == y[1]:
-        raise ConvexityViolation("tangency points project to the same height")
-    if y[0] > y[1]:
-        return roots[0], roots[1]
-    return roots[1], roots[0]
+    p = contour_point(c, grid)
+    y = p[:, 0] * s + p[:, 1] * co
+    return root(int(np.argmax(y)), 1.0), root(int(np.argmin(y)), -1.0)
 
 
 def polygon_envelope(p: ConvexPolygon, theta):
@@ -360,11 +356,14 @@ def support_heights(shape: Shape, theta):
     which is the origin of body coordinates.  For a SmoothContour the
     tangency points are found one angle at a time; the pole offset is
     then projected and added to their heights over the whole array.
+    A non-finite angle raises ValueError.
     """
-    if isinstance(shape, ConvexPolygon):
-        ys, yi, _, _ = polygon_envelope(shape, theta)
-        return ys, yi
     th = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(th)):
+        raise ValueError("theta must be finite")
+    if isinstance(shape, ConvexPolygon):
+        ys, yi, _, _ = polygon_envelope(shape, th)
+        return ys, yi
     beta = np.array([tangency_roots(shape, t) for t in th.flat]).T.reshape((2,) + th.shape)
     pts = contour_point(shape, beta)
     ys, yi = rot_proj(shape.pole_offset, th) + (pts[..., 0] * np.sin(th) + pts[..., 1] * np.cos(th))

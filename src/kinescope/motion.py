@@ -44,6 +44,7 @@ class MotionProfile:
     time) or sequences of (t_start, value) pairs whose first entry starts
     at t = 0.  The film must always move forward (every speed value > 0)
     so that film position is invertible to time; omega may take any sign.
+    ``theta0`` and ``z0`` must be finite.
     """
 
     omega: ProfileSpec = 1.0
@@ -56,6 +57,8 @@ class MotionProfile:
         sb, sv = _normalize_profile(self.film_speed, "film_speed")
         if not np.all(sv > 0):
             raise ValueError("film_speed must be positive everywhere")
+        if not np.all(np.isfinite([self.theta0, self.z0])):
+            raise ValueError("theta0 and z0 must be finite")
         object.__setattr__(self, "_omega_breaks", ob)
         object.__setattr__(self, "_omega_values", ov)
         object.__setattr__(self, "_speed_breaks", sb)

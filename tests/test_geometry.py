@@ -8,16 +8,12 @@ from kinescope import (
     ConvexPolygon,
     SmoothContour,
     contour_point,
-    contour_tangent,
     polygon_envelope,
-    reduce_angle,
     regular_ngon,
-    rot_proj,
     support_heights,
-    tangency_roots,
 )
 from kinescope.errors import ConvexityViolation
-from kinescope.geometry import ngon_upper
+from kinescope.geometry import contour_tangent, ngon_upper, reduce_angle, rot_proj, tangency_roots
 
 from _oracles import (
     brute_heights,
@@ -89,7 +85,8 @@ def test_contour_tangent_values():
 
 def test_tangency_roots_circle_closed_form():
     c = SmoothContour.circle(1.3)
-    for th in (0.0, 0.3, 1.9, 4.4, 6.1):
+    # pi/2 + 1e-9 puts the upper root in the wrap cell [2*pi - h, 2*pi)
+    for th in (0.0, 0.3, 1.9, 4.4, 6.1, math.pi / 2, math.pi / 2 - 1e-9, math.pi / 2 + 1e-9):
         beta_upper, beta_lower = tangency_roots(c, th)
         want_u = reduce_angle(math.pi / 2 - th)
         want_l = reduce_angle(3 * math.pi / 2 - th)
@@ -176,6 +173,17 @@ def test_support_heights_array_matches_scalar():
             assert np.array_equal(yi.ravel(), scalar[:, 1])
         ys, yi = support_heights(shape, float(th[0]))
         assert type(ys) is float and type(yi) is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_support_heights_rejects_non_finite_angle(bad):
+    for shape in (regular_ngon(5, 1.2), SmoothContour.ellipse(2.0, 1.0)):
+        with pytest.raises(ValueError):
+            support_heights(shape, bad)
+        with pytest.raises(ValueError):
+            support_heights(shape, np.array([0.0, bad]))
+    with pytest.raises(ValueError):
+        tangency_roots(SmoothContour.ellipse(2.0, 1.0), bad)
 
 
 def test_polygon_envelope_square_at_zero_ties_to_lowest_index():

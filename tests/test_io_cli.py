@@ -1,12 +1,17 @@
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinescope
 from kinescope import (
     KinematicImage,
     MotionProfile,
+    SmoothContour,
     TimeGrid,
     identify,
     regular_ngon,
@@ -207,7 +212,8 @@ def test_cli_check_single_case(tmp_path, capsys):
 def test_cli_check_closed_forms_at_custom_sizes(capsys):
     for args in (["ellipse", "--a", "3", "--b", "1.5"], ["circle-rim", "--radius", "2.5"],
                  ["square", "--side", "3"], ["triangle", "--side", "2.5"],
-                 ["circle-center", "--radius", "0.7"]):
+                 ["circle-center", "--radius", "0.7"], ["square", "--side", "1e6"],
+                 ["triangle", "--side", "1e5"], ["circle-center", "--radius", "1e6"]):
         assert run(["check", "--case", *args]) == 0
         assert capsys.readouterr().out.startswith(f"PASS {args[0]}:")
 
@@ -226,6 +232,8 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert run(["direct", "--shape", "circle", "--radius", "inf", "--out", str(csv)]) == 2
     assert run(["direct", "--shape", "ellipse", "--a", "inf", "--b", "1", "--out", str(csv)]) == 2
     assert run(["check", "--case", "circle-center", "--radius", "inf"]) == 2
+    assert run(["direct", "--shape", "circle", "--radius", "1", "--theta0", "nan",
+                "--out", str(csv)]) == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,1\n")
     assert run(["inverse", "--in", str(bad)]) == 2
@@ -236,6 +244,56 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert run(["inverse", "--in", str(flat), "--n-max", "2"]) == 2
     assert run(["inverse", "--in", str(flat), "--n-max", "298156827"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--shape", "circle", "--radius", "1", "--omega-file", "{d}/missing.txt", "--duration", "1"],
+     "--omega-file"),
+    (["--shape", "circle", "--radius", "1", "--omega-file", "{d}/letters.txt", "--duration", "1"],
+     "--omega-file"),
+    (["--shape", "circle", "--radius", "1", "--omega-file", "{d}/wide.txt", "--duration", "1"],
+     "--omega-file"),
+    (["--shape", "circle", "--radius", "1", "--speed-file", "{d}/empty.txt"], "--speed-file"),
+    (["--shape", "circle", "--radius", "1", "--speed", "0"], "--speed"),
+    (["--shape", "ellipse", "--a", "2", "--b", "1", "--pole", "rim"], "--pole"),
+    (["--shape", "ellipse", "--a", "2"], "--b"),
+    (["--shape", "ngon", "--sides", "4"], "--side-length"),
+    (["--shape", "ngon", "--sides", "4", "--side-length", "-1"], "--side-length"),
+    (["--shape", "polar"], "--polar-file"),
+    (["--shape", "polar", "--polar-file", "{d}/missing.csv"], "--polar-file"),
+    (["--shape", "circle", "--radius", "1", "--omega-file", "{d}/good.txt", "--periods", "1"],
+     "--periods"),
+    (["--shape", "circle", "--radius", "1", "--omega", "0", "--periods", "1"], "--periods"),
+    (["--shape", "circle", "--radius", "1", "--periods", "-1"], "--periods"),
+    (["--shape", "circle", "--radius", "1", "--duration", "-1"], "--duration"),
+])
+def test_cli_direct_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
+    (tmp_path / "letters.txt").write_text("0 fast\n")
+    (tmp_path / "wide.txt").write_text("0 1 2\n")
+    (tmp_path / "empty.txt").write_text("# no rows\n")
+    (tmp_path / "good.txt").write_text("0 1\n")
+    argv = ["direct", *(a.format(d=tmp_path) for a in args), "--out", str(tmp_path / "t.csv")]
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_cli_pole_x_y_override_the_default_pole(tmp_path):
+    csv = tmp_path / "t.csv"
+    assert run(["direct", "--shape", "circle", "--radius", "1", "--pole-x", "0.5",
+                "--pole-y", "-0.25", "--samples", "256", "--out", str(csv)]) == 0
+    want = trace(SmoothContour.circle(1.0, (0.5, -0.25)), MotionProfile(omega=1.0, film_speed=1.0),
+                 TimeGrid(duration=TWO_PI, samples=256))
+    got = read_trace_csv(csv)
+    for name in ("z", "y_s", "y_i"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_import_kinescope_loads_no_scipy():
+    src = str(Path(kinescope.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import kinescope; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_run_config_validation(capsys):

@@ -87,6 +87,11 @@ def test_profile_validation():
         MotionProfile(omega=[(0.0, 1.0), (0.0, 2.0)])
     with pytest.raises(ValueError):
         MotionProfile(omega=math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            MotionProfile(theta0=bad)
+        with pytest.raises(ValueError):
+            MotionProfile(z0=bad)
 
 
 def test_integrate_rejects_negative_time():
