@@ -227,13 +227,18 @@ def _check_closed_form(case: ClosedFormCase) -> tuple[float, str]:
     return oracle_check(case, n_theta=512) / case.a, "max |generic - closed form| / a"
 
 
+def _random_ellipse(rng: np.random.Generator) -> SmoothContour:
+    """Centred ellipse with a ~ U(0.5, 3) and b/a ~ U(0.2, 1), as the tests draw it."""
+    a = rng.uniform(0.5, 3.0)
+    b = rng.uniform(0.2, 1.0) * a
+    return SmoothContour.ellipse(a, b)
+
+
 def _random_test_shapes(rng: np.random.Generator, count: int) -> list[Shape]:
     shapes: list[Shape] = []
     for k in range(count):
         if k % 2 == 0:
-            a = rng.uniform(0.5, 3.0)
-            b = rng.uniform(0.2, 1.0) * a
-            shapes.append(SmoothContour.ellipse(a, min(a, b), (0.0, 0.0)))
+            shapes.append(_random_ellipse(rng))
         else:
             n = int(rng.integers(3, 9))
             radii = rng.uniform(0.5, 2.0)

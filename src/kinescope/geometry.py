@@ -94,7 +94,6 @@ class SmoothContour:
     b: float = 0.0
     pole_offset: Vec2 = field(default_factory=lambda: np.zeros(2))
     _r: Optional[CubicSpline] = field(default=None, repr=False)
-    _beta0: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "pole_offset", _as_vec2(self.pole_offset, "pole_offset"))
@@ -127,7 +126,7 @@ class SmoothContour:
 
         ``beta`` must be strictly increasing within [0, 2*pi) and the radii
         strictly positive; the samples are closed up periodically with a
-        cubic spline.  Raises ConvexityViolation if the interpolated curve
+        cubic spline, which wraps any beta into its own period.  Raises ConvexityViolation if the interpolated curve
         is not strictly convex (the polar criterion
         r^2 + 2 r'^2 - r r'' > 0 is checked on a dense grid).
         """
@@ -163,12 +162,7 @@ class SmoothContour:
                 "polar contour is not strictly convex "
                 f"(min turning term {turn.min():.3e} at beta {probe[np.argmin(turn)]:.4f})"
             )
-        return cls(kind="polar", pole_offset=pole_offset, _r=spline, _beta0=float(beta[0]))
-
-    def _polar_eval(self, beta, nu: int = 0):
-        # The spline is defined on [beta0, beta0 + 2*pi]; wrap queries into it.
-        b = self._beta0 + np.mod(np.asarray(beta, dtype=float) - self._beta0, TWO_PI)
-        return self._r(b, nu)
+        return cls(kind="polar", pole_offset=pole_offset, _r=spline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +247,7 @@ def contour_point(c: SmoothContour, beta):
         x = c.a * np.cos(b)
         y = c.b * np.sin(b)
     else:
-        r = c._polar_eval(b)
+        r = c._r(b)
         x = r * np.cos(b)
         y = r * np.sin(b)
     return np.stack([x, y], axis=-1)
@@ -266,22 +260,22 @@ def contour_tangent(c: SmoothContour, beta):
         x = -c.a * np.sin(b)
         y = c.b * np.cos(b)
     else:
-        r = c._polar_eval(b)
-        r1 = c._polar_eval(b, 1)
+        r = c._r(b)
+        r1 = c._r(b, 1)
         x = r1 * np.cos(b) - r * np.sin(b)
         y = r1 * np.sin(b) + r * np.cos(b)
     return np.stack([x, y], axis=-1)
 
 
-def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
-    # Plain bisection; the bracket is guaranteed by the caller.
+def _bisect(g, lo: float, hi: float, rising: float) -> float:
+    # Plain bisection; the caller guarantees g has rising's sign at lo, not at hi.
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
         if g_mid == 0.0:
             return mid
-        if (g_lo < 0) == (g_mid < 0):
-            lo, g_lo = mid, g_mid
+        if (g_mid > 0) == (rising > 0):
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -312,12 +306,13 @@ def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
     def root(k: int, rising: float) -> float:
         # rising is +1 at the maximum, -1 at the minimum.  While the height still
         # moves toward the extreme at grid[k], the root is in the cell after it;
-        # else in the cell before (grid[-1] wraps), whose start has g's sign -g_k.
+        # else in the cell before (grid[-1] wraps).  Either way g at the cell's
+        # start has the sign of rising.
         g_k = float(g(grid[k]))
         if g_k == 0.0:
             return float(grid[k])
-        lo, g_lo = (float(grid[k]), g_k) if g_k * rising > 0 else (float(grid[k - 1]), -g_k)
-        return _bisect(g, lo, lo + TWO_PI / SCAN_SAMPLES, g_lo)
+        lo = float(grid[k]) if g_k * rising > 0 else float(grid[k - 1])
+        return _bisect(g, lo, lo + TWO_PI / SCAN_SAMPLES, rising)
 
     p = contour_point(c, grid)
     y = p[:, 0] * s + p[:, 1] * co

@@ -34,9 +34,6 @@ CIRCLE = "CIRCLE"
 # magnitude) is never missed.
 EPS_PARITY = 1e-3
 
-# Below this absolute size the image is considered flat zero.
-DEGENERATE_EPS = 1e-12
-
 # Largest n_max: past it cos(pi/n_max) rounds to 1 and the CIRCLE gate
 # could never fire, so m = M would ask for an infinite side count.
 N_MAX_LIMIT = 298156826
@@ -111,7 +108,8 @@ def extremes(img: KinematicImage) -> tuple[float, float, float]:
     of the lower one; m and M are the refined minimum and maximum of the
     upper curve measured from the midline.  Assumes the image spans at
     least one full period of the upper curve, which is the caller's
-    responsibility to ensure.
+    responsibility to ensure.  Raises DegenerateImage only when M is 0,
+    on an exactly flat image; a tiny image is just scaled.
     """
     z, ys, yi = img.z, img.y_s, img.y_i
     _, top = _parabolic_refine(z, ys, int(np.argmax(ys)))
@@ -120,8 +118,8 @@ def extremes(img: KinematicImage) -> tuple[float, float, float]:
     midline = 0.5 * (top + bot)
     m = low - midline
     big = top - midline
-    if (big - m) < DEGENERATE_EPS and big < DEGENERATE_EPS:
-        raise DegenerateImage("image is flat at zero; nothing to identify")
+    if big == 0.0:
+        raise DegenerateImage("image is flat; nothing to identify")
     return m, big, midline
 
 
@@ -162,7 +160,8 @@ def _interior_maxima(img: KinematicImage) -> np.ndarray:
     A maximum is the peak of an excursion above 75% of the curve's band.
     The excursion only ends once the curve drops below 50% of the band:
     without that hysteresis, noise hovering at a single threshold chops
-    one peak into several.  Excursions cut off by either end of the
+    one peak into several.  One ordered scan of the samples that enter
+    either band finds them.  Excursions cut off by either end of the
     record are dropped, since their peak may lie outside the window.
     """
     z, ys = img.z, img.y_s
@@ -170,25 +169,17 @@ def _interior_maxima(img: KinematicImage) -> np.ndarray:
     band = float(ys.max()) - lo
     high = ys >= lo + 0.75 * band
     low = ys < lo + 0.50 * band
-    enter = np.flatnonzero(~high[:-1] & high[1:]) + 1
-    leave = np.flatnonzero(~low[:-1] & low[1:]) + 1
-    events = sorted([(int(k), 1) for k in enter] + [(int(k), 0) for k in leave])
-    runs = []
-    start: Optional[int] = 0 if high[0] else None
-    for k, is_enter in events:
-        if is_enter and start is None:
-            start = k
-        elif not is_enter and start is not None:
-            runs.append((start, k - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(ys) - 1))
     peaks_z = []
-    for i0, i1 in runs:
-        if i0 == 0 or i1 == len(ys) - 1:
-            continue
-        k = i0 + int(np.argmax(ys[i0 : i1 + 1]))
-        peaks_z.append(_parabolic_refine(z, ys, k)[0])
+    start: Optional[int] = 0 if high[0] else None
+    for k in np.flatnonzero(high[1:] & ~high[:-1] | low[1:] & ~low[:-1]) + 1:
+        if high[k]:
+            if start is None:
+                start = int(k)
+        elif start is not None:
+            if start > 0:
+                peak = start + int(np.argmax(ys[start:k]))
+                peaks_z.append(_parabolic_refine(z, ys, peak)[0])
+            start = None
     return np.asarray(peaks_z)
 
 

@@ -11,6 +11,8 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from kinescope import ConvexPolygon, SmoothContour, contour_point
+# The tests and ``kinescope check`` draw their random ellipses from one place.
+from kinescope.cli import _random_ellipse as random_ellipse  # noqa: F401
 from kinescope.errors import ConvexityViolation
 
 TWO_PI = 2.0 * math.pi
@@ -45,12 +47,6 @@ def random_convex_polygon(rng: np.random.Generator, n_pts: int = 10) -> ConvexPo
             return ConvexPolygon(pts[hull.vertices])
         except ConvexityViolation:
             continue
-
-
-def random_ellipse(rng: np.random.Generator) -> SmoothContour:
-    a = rng.uniform(0.5, 3.0)
-    b = rng.uniform(0.2, 1.0) * a
-    return SmoothContour.ellipse(a, b)
 
 
 def random_convex_polar(rng: np.random.Generator, n_pts: int = 48) -> SmoothContour:

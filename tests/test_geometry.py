@@ -75,6 +75,22 @@ def test_contour_point_polar_constant_is_circle():
         assert np.allclose(contour_point(c, b), [math.cos(b), math.sin(b)], atol=1e-9)
 
 
+def test_polar_table_off_zero_wraps_its_period():
+    # Tables elsewhere start at beta = 0; here the spline's own period
+    # starts at 0.3, so queries below it and past the last knot must wrap.
+    beta = 0.3 + TWO_PI * np.arange(48) / 48
+    r = 1.0 + 0.05 * np.cos(2.0 * beta + 0.4) + 0.02 * np.cos(3.0 * beta)
+    c = SmoothContour.from_polar(beta, r, (0.2, -0.1))
+    for b in (0.1, -0.7, beta[-1] + 0.05, 6.55):
+        for j in (-2, 1, 3):
+            assert np.allclose(contour_point(c, b + TWO_PI * j), contour_point(c, b), rtol=0.0, atol=1e-12)
+    for th in np.linspace(-3.0, 9.0, 6):
+        ys, yi = support_heights(c, float(th))
+        bs, bi = brute_heights(c, float(th))
+        assert abs(ys - bs) < 1e-6
+        assert abs(yi - bi) < 1e-6
+
+
 def test_contour_tangent_values():
     assert np.allclose(contour_tangent(SmoothContour.circle(1.0), 0.0), [0.0, 1.0], atol=1e-15)
     assert np.allclose(contour_tangent(SmoothContour.ellipse(2.0, 1.0), 0.0), [0.0, 1.0], atol=1e-15)

@@ -108,6 +108,33 @@ def test_parity_circle():
     assert identify(img).parity == "circle"
 
 
+@pytest.mark.parametrize("k", [-60, -40, 0, 100, 300])
+def test_identify_is_exact_under_power_of_two_scaling(k):
+    # A tiny image is scaled, not flat: only an exactly flat one is degenerate.
+    img = ngon_image(5)
+    base = identify(img)
+    rep = identify(KinematicImage(z=np.ldexp(img.z, k), y_s=np.ldexp(img.y_s, k), y_i=np.ldexp(img.y_i, k)))
+    assert (rep.n, rep.parity, rep.warnings) == (base.n, base.parity, base.warnings)
+    for name in ("apothem_m", "circumradius_M", "midline", "residual"):
+        assert getattr(rep, name) == math.ldexp(getattr(base, name), k), name
+    assert rep.omega_over_v == math.ldexp(base.omega_over_v, -k)
+
+
+def test_interior_maxima_hysteresis_and_end_drop():
+    # cos z over three turns, with chatter on alternate samples near both
+    # thresholds: the 75% level is crossed upward many times per peak, but
+    # each excursion ends only below 50%, so there is one maximum per peak.
+    z = np.linspace(0.0, 3 * TWO_PI, 3001)
+    ys = np.cos(z)
+    near = (np.abs(ys - 0.5) < 0.05) | (np.abs(ys) < 0.05)
+    ys = ys + 0.03 * near * np.where(np.arange(z.size) % 2 == 0, 1.0, -1.0)
+    high = ys >= 0.5
+    assert int(np.count_nonzero(high[1:] & ~high[:-1])) == 33
+    peaks = inverse._interior_maxima(KinematicImage(z=z, y_s=ys, y_i=ys - 3.0))
+    # The peaks at 0 and 6*pi touch the ends of the record and are dropped.
+    assert np.allclose(peaks, [TWO_PI, 2 * TWO_PI], rtol=0.0, atol=1e-9)
+
+
 def measured_period(rep):
     return TWO_PI / (rep.n * rep.omega_over_v)
 
