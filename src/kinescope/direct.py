@@ -67,11 +67,6 @@ class KinematicImage:
     def __len__(self) -> int:
         return self.z.size
 
-    @property
-    def width(self) -> np.ndarray:
-        """Silhouette width H(z) = y_s - y_i; independent of the pole."""
-        return self.y_s - self.y_i
-
 
 @dataclass(frozen=True)
 class ClosedFormCase:

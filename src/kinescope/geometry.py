@@ -55,12 +55,7 @@ def reduce_angle(theta):
     so the result is folded back to 0.0 explicitly.
     """
     t = np.mod(theta, TWO_PI)
-    if np.ndim(t) == 0:
-        t = float(t)
-        return 0.0 if t >= TWO_PI else t
-    t = np.asarray(t, dtype=float)
-    t[t >= TWO_PI] = 0.0
-    return t
+    return np.where(t >= TWO_PI, 0.0, t)
 
 
 def rot_proj(p: ArrayLike, theta):
@@ -126,9 +121,10 @@ class SmoothContour:
 
         ``beta`` must be strictly increasing within [0, 2*pi) and the radii
         strictly positive; the samples are closed up periodically with a
-        cubic spline, which wraps any beta into its own period.  Raises ConvexityViolation if the interpolated curve
-        is not strictly convex (the polar criterion
-        r^2 + 2 r'^2 - r r'' > 0 is checked on a dense grid).
+        cubic spline, which wraps any beta into its own period.  Raises
+        ConvexityViolation if the interpolated curve is not strictly convex
+        (the polar criterion r^2 + 2 r'^2 - r r'' > 0 is checked on a dense
+        grid).
         """
         beta = np.asarray(beta, dtype=float)
         r = np.asarray(r, dtype=float)
@@ -151,9 +147,8 @@ class SmoothContour:
         spline = CubicSpline(knots, values, bc_type="periodic")
 
         probe = beta[0] + TWO_PI * np.arange(CONVEXITY_SAMPLES) / CONVEXITY_SAMPLES
-        rr = spline(probe)
-        r1 = spline(probe, 1)
-        r2 = spline(probe, 2)
+        # Over the largest radius: the same sign, at any scale without overflow.
+        rr, r1, r2 = (spline(probe, nu) / r.max() for nu in range(3))
         # Signed curvature of a polar curve is proportional to this; it must
         # keep one sign for the tangent direction never to reverse.
         turn = rr * rr + 2.0 * r1 * r1 - rr * r2
@@ -171,13 +166,17 @@ class ConvexPolygon:
 
     Vertices are measured from the polygon's own frame origin;
     ``pole_offset`` is the vector from the rotation pole to that origin,
-    exactly as for SmoothContour.  A clockwise winding, a reflex corner
-    or collinear consecutive vertices raise ConvexityViolation.  The
-    vertex array is frozen after construction.
+    exactly as for SmoothContour.  ``_normals`` holds the unwrapped angles
+    of the edges' outward normals, edge i running from vertex i to i + 1.
+    ConvexityViolation is raised unless no edge has zero length and each
+    turn between consecutive normals, the closing turn included, lies
+    strictly between 0 and pi; that also rejects a star that winds twice,
+    and it holds at any scale.  The vertex array is frozen.
     """
 
     vertices: NDArray[np.float64]
     pole_offset: Vec2 = field(default_factory=lambda: np.zeros(2))
+    _normals: NDArray[np.float64] = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -185,7 +184,10 @@ class ConvexPolygon:
             raise ValueError("vertices must be an (n, 2) array with n >= 3")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
-        if not np.all(_edge_cross(v) > 0):
+        ex, ey = (np.roll(v, -1, axis=0) - v).T
+        normals = np.unwrap(np.arctan2(-ex, ey))
+        turns = np.diff(normals, append=normals[0] + TWO_PI)
+        if not (np.all((ex != 0) | (ey != 0)) and np.all((turns > 0) & (turns < math.pi))):
             raise ConvexityViolation(
                 "vertices do not form a strictly convex counterclockwise polygon"
             )
@@ -193,19 +195,13 @@ class ConvexPolygon:
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "pole_offset", _as_vec2(self.pole_offset, "pole_offset"))
+        object.__setattr__(self, "_normals", normals)
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
 
 Shape = Union[SmoothContour, ConvexPolygon]
-
-
-def _edge_cross(v: np.ndarray) -> np.ndarray:
-    """Cross products of consecutive edge pairs, one per corner."""
-    edges = np.roll(v, -1, axis=0) - v
-    nxt = np.roll(edges, -1, axis=0)
-    return edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
 
 
 def regular_ngon(n: int, circumradius: float) -> ConvexPolygon:
@@ -322,25 +318,27 @@ def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
 def polygon_envelope(p: ConvexPolygon, theta):
     """Upper and lower silhouette heights of a rotated polygon.
 
-    Returns ``(y_s, y_i, idx_upper, idx_lower)`` where the indices say
-    which vertex realizes each extreme.  theta may be a scalar or an
-    array; exact ties go to the lowest vertex index (np.argmax's rule).
+    Returns ``(y_s, y_i, idx_upper, idx_lower)``, each of theta's shape,
+    where the indices say which vertex realizes each extreme.  Vertex i
+    is the highest while (sin theta, cos theta) lies between the outward
+    normals of edges i - 1 and i, so one sorted search over the normals
+    finds it; a direction exactly on a normal goes to the lower vertex
+    index, which is vertex 0 on the last normal.
     """
     th = np.asarray(theta, dtype=float)
-    s = np.sin(th)
-    co = np.cos(th)
-    # heights[i, ...] = Y of vertex i after rotation, measured from the pole
+    s, co = np.sin(th), np.cos(th)
     base = p.pole_offset[0] * s + p.pole_offset[1] * co
-    heights = np.multiply.outer(p.vertices[:, 0], s) + np.multiply.outer(p.vertices[:, 1], co) + base
-    if th.ndim == 0:
-        iu = int(np.argmax(heights))
-        il = int(np.argmin(heights))
-        return float(heights[iu]), float(heights[il]), iu, il
-    iu = np.argmax(heights, axis=0)
-    il = np.argmin(heights, axis=0)
-    ys = np.take_along_axis(heights, iu[None, ...], axis=0)[0]
-    yi = np.take_along_axis(heights, il[None, ...], axis=0)[0]
-    return ys, yi, iu, il
+    normals = p._normals
+
+    def vertex(angle):
+        # Lift the angle, from arctan2's [-pi, pi], to normals[0] or above.
+        angle = np.where(angle < normals[0], angle + TWO_PI, angle)
+        return np.where(angle < normals[-1], np.searchsorted(normals, angle), 0)
+
+    iu = vertex(np.arctan2(co, s))
+    il = vertex(np.arctan2(-co, -s))
+    vx, vy = p.vertices.T
+    return vx[iu] * s + vy[iu] * co + base, vx[il] * s + vy[il] * co + base, iu, il
 
 
 def support_heights(shape: Shape, theta):
@@ -358,10 +356,10 @@ def support_heights(shape: Shape, theta):
         raise ValueError("theta must be finite")
     if isinstance(shape, ConvexPolygon):
         ys, yi, _, _ = polygon_envelope(shape, th)
-        return ys, yi
-    beta = np.array([tangency_roots(shape, t) for t in th.flat]).T.reshape((2,) + th.shape)
-    pts = contour_point(shape, beta)
-    ys, yi = rot_proj(shape.pole_offset, th) + (pts[..., 0] * np.sin(th) + pts[..., 1] * np.cos(th))
+    else:
+        beta = np.array([tangency_roots(shape, t) for t in th.flat]).T.reshape((2,) + th.shape)
+        pts = contour_point(shape, beta)
+        ys, yi = rot_proj(shape.pole_offset, th) + (pts[..., 0] * np.sin(th) + pts[..., 1] * np.cos(th))
     if th.ndim == 0:
         return float(ys), float(yi)
     return ys, yi

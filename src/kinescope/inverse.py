@@ -123,11 +123,6 @@ def extremes(img: KinematicImage) -> tuple[float, float, float]:
     return m, big, midline
 
 
-def _ratio(m: float, M: float) -> float:
-    """m/M clamped to [-1, 1], so that arccos never sees rounding overshoot."""
-    return min(max(m / M, -1.0), 1.0)
-
-
 def _raw_side_count(ratio: float) -> float:
     if ratio >= 1.0:
         return math.inf
@@ -148,7 +143,7 @@ def side_count(m: float, M: float, n_max: int = 64):
         raise ValueError("m must not exceed M")
     if not 3 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"n_max must be at least 3 and at most {N_MAX_LIMIT}")
-    ratio = _ratio(m, M)
+    ratio = m / M
     if ratio > math.cos(math.pi / n_max):
         return CIRCLE
     return int(round(_raw_side_count(ratio)))
@@ -277,7 +272,7 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
             "this is not the image of a centred regular polygon"
         )
     n = side_count(m, M, n_max=n_max)
-    n_raw = _raw_side_count(_ratio(m, M))
+    n_raw = _raw_side_count(m / M)
 
     if n == CIRCLE:
         parity = "circle"

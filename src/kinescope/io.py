@@ -7,6 +7,8 @@ IEEE doubles bit-exactly, so write-then-read is the identity on traces.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -22,6 +24,7 @@ CSV_HEADER = "z,ys,yi"
 SVG_W = 800
 SVG_H = 300
 SVG_MARGIN = 0.05
+SVG_BLOCK = 4096  # points per formatted string in write_svg
 
 RIBBON_COLOR = "#4c78a8"
 UPPER_COLOR = "#4c78a8"
@@ -44,25 +47,24 @@ def _read_table(path: PathLike, header: str) -> np.ndarray:
     field, naming the file line.  Returns an array of shape (columns,
     rows).
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = enumerate(map(str.strip, text.splitlines()), start=1)
-    rows = ((ln_no, ln) for ln_no, ln in lines if ln)
-    _, head = next(rows, (0, ""))
-    if not head:
-        raise ValueError(f"{path}: empty file")
     names = header.split(",")
-    if [f.strip() for f in head.split(",")] != names:
-        raise ValueError(f"{path}: expected header '{header}', got '{head}'")
-    values = []
-    for ln_no, ln in rows:
-        fields = ln.split(",")
-        if len(fields) != len(names):
-            raise ValueError(f"{path}:{ln_no}: expected {len(names)} comma-separated values")
-        try:
-            values.extend(map(float, fields))
-        except ValueError:
-            raise ValueError(f"{path}:{ln_no}: non-numeric value in '{ln}'") from None
-    return np.array(values).reshape(-1, len(names)).T
+    values = array("d")
+    with open(path, encoding="ascii") as f:
+        rows = ((ln_no, ln) for ln_no, ln in enumerate(map(str.strip, f), start=1) if ln)
+        _, head = next(rows, (0, ""))
+        if not head:
+            raise ValueError(f"{path}: empty file")
+        if [name.strip() for name in head.split(",")] != names:
+            raise ValueError(f"{path}: expected header '{header}', got '{head}'")
+        for ln_no, ln in rows:
+            fields = ln.split(",")
+            if len(fields) != len(names):
+                raise ValueError(f"{path}:{ln_no}: expected {len(names)} comma-separated values")
+            try:
+                values.extend(map(float, fields))
+            except ValueError:
+                raise ValueError(f"{path}:{ln_no}: non-numeric value in '{ln}'") from None
+    return np.frombuffer(values).reshape(-1, len(names)).T
 
 
 def read_trace_csv(path: PathLike) -> KinematicImage:
@@ -103,23 +105,35 @@ def write_svg(img: KinematicImage, path: PathLike) -> None:
 
     zmid = 0.5 * float(z[0] + z[-1])
     ymid = 0.5 * (ylo + yhi)
-    x = (SVG_W / 2.0 + (z - zmid) * scale).tolist()
+    x = SVG_W / 2.0 + (z - zmid) * scale
     point = "{:.3f},{:.3f}".format
-    upper = " ".join(map(point, x, (SVG_H / 2.0 - (ys - ymid) * scale).tolist()))
-    lower = " ".join(map(point, x, (SVG_H / 2.0 - (yi - ymid) * scale).tolist()))
-    del x  # freed before the document is built: the write is the memory peak
-    ribbon = upper + " " + " ".join(reversed(lower.split(" ")))
 
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_W} {SVG_H}" '
-        f'width="{SVG_W}" height="{SVG_H}">\n'
-        f'  <rect width="{SVG_W}" height="{SVG_H}" fill="white"/>\n'
-        f'  <polygon points="{ribbon}" fill="{RIBBON_COLOR}" fill-opacity="0.25" stroke="none"/>\n'
-        f'  <polyline points="{upper}" fill="none" stroke="{UPPER_COLOR}" stroke-width="1.5"/>\n'
-        f'  <polyline points="{lower}" fill="none" stroke="{LOWER_COLOR}" stroke-width="1.5"/>\n'
-        f"</svg>\n"
-    )
-    Path(path).write_text(svg, encoding="ascii")
+    def blocks(y):
+        # Each point formatted once, SVG_BLOCK to a string; no whole-curve string.
+        y = SVG_H / 2.0 - (y - ymid) * scale
+        return [
+            " ".join(map(point, x[i : i + SVG_BLOCK].tolist(), y[i : i + SVG_BLOCK].tolist()))
+            for i in range(0, x.size, SVG_BLOCK)
+        ]
+
+    upper, lower = blocks(ys), blocks(yi)
+    ribbon = chain(upper, (" ".join(reversed(b.split(" "))) for b in reversed(lower)))
+    with open(path, "w", encoding="ascii") as f:
+        f.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_W} {SVG_H}" '
+            f'width="{SVG_W}" height="{SVG_H}">\n'
+            f'  <rect width="{SVG_W}" height="{SVG_H}" fill="white"/>\n'
+        )
+        for tag, pieces, style in (
+            ("polygon", ribbon, f'fill="{RIBBON_COLOR}" fill-opacity="0.25" stroke="none"'),
+            ("polyline", upper, f'fill="none" stroke="{UPPER_COLOR}" stroke-width="1.5"'),
+            ("polyline", lower, f'fill="none" stroke="{LOWER_COLOR}" stroke-width="1.5"'),
+        ):
+            f.write(f'  <{tag} points="')
+            for i, piece in enumerate(pieces):
+                f.write(" " + piece if i else piece)
+            f.write(f'" {style}/>\n')
+        f.write("</svg>\n")
 
 
 def format_report(rep: InverseReport) -> str:

@@ -92,19 +92,16 @@ def integrate(profile: MotionProfile, t):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling times: ``samples`` points from t_start over ``duration``."""
+    """Uniform sampling times: ``samples`` points from 0 over ``duration``."""
 
     duration: float
     samples: int
-    t_start: float = 0.0
 
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("duration must be positive")
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
-        if self.t_start < 0:
-            raise ValueError("t_start must be >= 0")
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_start + self.duration, self.samples)
+        return np.linspace(0.0, self.duration, self.samples)

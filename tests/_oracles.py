@@ -28,6 +28,22 @@ def brute_heights(contour: SmoothContour, theta: float, n: int = 100_000):
     return float(proj.max()), float(proj.min())
 
 
+def brute_polygon_heights(p: ConvexPolygon, theta):
+    """Max and min over every vertex of its rotated height, pole included.
+
+    The n x S search over all vertices at once.  Also returns, per angle,
+    the gaps between the two highest and between the two lowest heights:
+    where a gap is tiny, two vertices tie up to rounding.
+    """
+    th = np.asarray(theta, dtype=float)
+    s, co = np.sin(th), np.cos(th)
+    base = p.pole_offset[0] * s + p.pole_offset[1] * co
+    vx, vy = p.vertices.T
+    heights = np.multiply.outer(vx, s) + np.multiply.outer(vy, co) + base
+    heights.sort(axis=0)
+    return heights[-1], heights[0], heights[-1] - heights[-2], heights[1] - heights[0]
+
+
 def midpoint_integral(pairs, t: float, steps: int = 400_000) -> float:
     """Midpoint-rule integral of a piecewise-constant profile over [0, t]."""
     breaks = np.array([p[0] for p in pairs])

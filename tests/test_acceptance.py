@@ -63,7 +63,7 @@ def test_criterion_01_circle_strip():
     err = max(
         float(np.max(np.abs(img.y_s - 1.0))),
         float(np.max(np.abs(img.y_i + 1.0))),
-        float(np.max(np.abs(img.width - 2.0))),
+        float(np.max(np.abs(img.y_s - img.y_i - 2.0))),
     )
     assert err <= 1e-12
     print(f"PASS criterion 1: circle strip, max error {err:.3e} (tol 1e-12)")

@@ -25,7 +25,7 @@ def test_trace_circle_center_is_strip():
     assert len(img) == 512
     assert np.max(np.abs(img.y_s - 1.0)) < 1e-12
     assert np.max(np.abs(img.y_i + 1.0)) < 1e-12
-    assert np.max(np.abs(img.width - 2.0)) < 1e-12
+    assert np.max(np.abs(img.y_s - img.y_i - 2.0)) < 1e-12
 
 
 def test_trace_circle_rim_is_sine_wave():
@@ -59,7 +59,7 @@ def test_width_identical_for_center_and_rim_poles():
     grid = TimeGrid(duration=TWO_PI, samples=777)
     center = trace(SmoothContour.circle(1.0), UNIT_MOTION, grid)
     rim = trace(SmoothContour.circle(1.0, pole_offset=(1.0, 0.0)), UNIT_MOTION, grid)
-    assert np.max(np.abs(center.width - rim.width)) < 1e-10
+    assert np.max(np.abs((center.y_s - center.y_i) - (rim.y_s - rim.y_i))) < 1e-10
 
 
 def test_trace_periodicity_of_symmetric_shapes():
@@ -190,6 +190,6 @@ def test_kinematic_image_validation():
     with pytest.raises(ValueError):
         KinematicImage(z=z[:1], y_s=np.ones(1), y_i=np.zeros(1))
     img = KinematicImage(z=z, y_s=np.ones(3), y_i=np.zeros(3))
-    assert np.array_equal(img.width, np.ones(3))
+    assert np.array_equal(img.y_s - img.y_i, np.ones(3))
     with pytest.raises(ValueError):
         img.z[0] = 5.0  # frozen

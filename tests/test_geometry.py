@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from kinescope.geometry import contour_tangent, ngon_upper, reduce_angle, rot_pr
 
 from _oracles import (
     brute_heights,
+    brute_polygon_heights,
     random_convex_polar,
     random_convex_polygon,
     reentrant_polar_table,
@@ -207,6 +209,8 @@ def test_polygon_envelope_square_at_zero_ties_to_lowest_index():
     ys, yi, iu, il = polygon_envelope(ConvexPolygon(EXACT_SQUARE), 0.0)
     assert (ys, yi) == (0.5, -0.5)
     assert (iu, il) == (0, 2)
+    # At pi/2 the top is on the last edge's normal, between vertices 3 and 0.
+    assert polygon_envelope(ConvexPolygon(EXACT_SQUARE), math.pi / 2)[2] == 0
 
 
 def test_polygon_envelope_square_first_quarter_formula():
@@ -298,6 +302,71 @@ def test_convex_polygon_requires_strict_ccw():
         ConvexPolygon([(0, 0), (1, 0), (1, 0)])  # repeated vertex
     with pytest.raises(ValueError):
         ConvexPolygon([(0, 0), (1, 0)])
+    # A {5/2} pentagram turns left at every corner but winds twice.
+    star = np.radians(90.0 + 144.0 * np.arange(5))
+    with pytest.raises(ConvexityViolation):
+        ConvexPolygon(np.column_stack([np.cos(star), np.sin(star)]))
+    # A repeated vertex whose zero-length edge would fit between its neighbours' normals.
+    with pytest.raises(ConvexityViolation):
+        ConvexPolygon([(1, 0), (1, 0), (0, 1), (-1, 0), (0, -1)])
+    with pytest.raises(ConvexityViolation):
+        ConvexPolygon([(0, 0), (2, 0), (1, 0), (1, 1)])  # 180-degree spike
+    # A needle so thin that the turn at its tip rounds to 180 degrees.
+    with pytest.raises(ConvexityViolation):
+        ConvexPolygon([(0, 0), (1, 0), (0.5, 5e-17)])
+
+
+def test_heights_scale_bit_for_bit_at_extreme_sizes():
+    # Scaling every input by 2**k is exact, so the heights must scale exactly too.
+    th = np.random.default_rng(37).uniform(0.0, TWO_PI, 12)
+    pentagon = np.array([(2.0, 0.0), (1.0, 1.5), (-1.0, 1.25), (-1.5, -0.5), (0.5, -1.5)])
+    beta = TWO_PI * np.arange(48) / 48
+    r = 1.2 + 0.05 * np.cos(3.0 * beta)
+    pole = np.array([0.75, -0.5])
+
+    def shapes(scale):
+        polar = SmoothContour.from_polar(beta, scale * r, scale * pole)
+        return ConvexPolygon(scale * pentagon, scale * pole), polar
+
+    unscaled = [support_heights(shape, th) for shape in shapes(1.0)]
+    for k in (-1000, -700, 600, 1000):
+        for (ys0, yi0), shape in zip(unscaled, shapes(2.0**k)):
+            ys, yi = support_heights(shape, th)
+            assert np.array_equal(ys, np.ldexp(ys0, k)) and np.array_equal(yi, np.ldexp(yi0, k))
+
+
+def test_polygon_envelope_matches_brute_force_search():
+    rng = np.random.default_rng(43)
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        # Vertices on a random ellipse, in angle order, are in convex position.
+        ang = np.sort(rng.uniform(0.0, TWO_PI, int(rng.integers(3, 41))))
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        pts = np.column_stack([a * np.cos(ang), a * rng.uniform(0.2, 1.0) * np.sin(ang)])
+        rot = rng.uniform(0.0, TWO_PI)
+        pts = pts @ np.array([[math.cos(rot), math.sin(rot)], [-math.sin(rot), math.cos(rot)]])
+        p = ConvexPolygon(pts + a * rng.uniform(-1.0, 1.0, 2), a * rng.uniform(-3.0, 3.0, 2))
+        size = float(np.max(np.hypot(*(p.vertices + p.pole_offset).T)))
+        for th in (rng.uniform(-7.0, 30.0, 2000), rng.uniform(1e5, 1e6, 2000)):
+            ys, yi, _, _ = polygon_envelope(p, th)
+            bs, bi, gap_s, gap_i = brute_polygon_heights(p, th)
+            assert np.max(np.abs(ys - bs)) <= 4 * eps * size
+            assert np.max(np.abs(yi - bi)) <= 4 * eps * size
+            assert np.array_equal(ys[gap_s > 1e-12 * size], bs[gap_s > 1e-12 * size])
+            assert np.array_equal(yi[gap_i > 1e-12 * size], bi[gap_i > 1e-12 * size])
+
+
+def test_polygon_envelope_memory_does_not_grow_with_vertex_count():
+    # An n x S height matrix would take 8 * n bytes per angle, 512 at n = 64.
+    th = np.linspace(-7.0, 30.0, 200_000)
+    p = replace(regular_ngon(64, 1.0), pole_offset=(0.3, -0.2))
+    tracemalloc.start()
+    try:
+        polygon_envelope(p, th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * th.size
 
 
 def test_from_polar_validation():

@@ -103,11 +103,9 @@ def test_integrate_rejects_negative_time():
 
 
 def test_time_grid():
-    g = TimeGrid(duration=2.0, samples=5, t_start=1.0)
-    assert np.allclose(g.times(), [1.0, 1.5, 2.0, 2.5, 3.0], atol=0.0)
+    g = TimeGrid(duration=2.0, samples=5)
+    assert np.allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0], atol=0.0)
     with pytest.raises(ValueError):
         TimeGrid(duration=0.0, samples=8)
     with pytest.raises(ValueError):
         TimeGrid(duration=1.0, samples=1)
-    with pytest.raises(ValueError):
-        TimeGrid(duration=1.0, samples=8, t_start=-0.5)
