@@ -17,13 +17,18 @@ motion = MotionProfile(omega=1.0, film_speed=1.0)
 
 
 def schedule(poly, n_steps=720):
-    """(theta_start, upper, lower) for each control interval over a turn."""
-    th = 2.0 * math.pi * np.arange(n_steps) / n_steps
-    _, _, iu, il = polygon_envelope(poly, th)
+    """(theta_start, upper, lower) for each control interval over a turn.
+
+    Each grid cell is sampled at its midpoint, away from the exact
+    hand-over angles where two vertices tie, and an interval is printed
+    from the start of the cell where its vertices take over.
+    """
+    step = 2.0 * math.pi / n_steps
+    _, _, iu, il = polygon_envelope(poly, step * (np.arange(n_steps) + 0.5))
     runs = [(0.0, int(iu[0]), int(il[0]))]
     for k in range(1, n_steps):
         if (iu[k], il[k]) != (runs[-1][1], runs[-1][2]):
-            runs.append((float(th[k]), int(iu[k]), int(il[k])))
+            runs.append((step * k, int(iu[k]), int(il[k])))
     return runs
 
 

@@ -33,10 +33,15 @@ SCAN_SAMPLES = 720
 # the height at second order, far below every tolerance we quote.
 BISECT_TOL = 1e-14
 
-# Points at which a sampled-polar contour is tested for strict convexity.
-CONVEXITY_SAMPLES = 2048
-
 Vec2 = NDArray[np.float64]
+
+
+def _poly_mul(p: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray[np.float64]:
+    # Product of piecewise polynomials given as coefficient rows, highest power first.
+    out = np.zeros((len(p) + len(q) - 1, p.shape[1]))
+    for i, row in enumerate(p):
+        out[i : i + len(q)] += row * q
+    return out
 
 
 def _as_vec2(p: ArrayLike, name: str = "point") -> Vec2:
@@ -123,8 +128,8 @@ class SmoothContour:
         strictly positive; the samples are closed up periodically with a
         cubic spline, which wraps any beta into its own period.  Raises
         ConvexityViolation if the interpolated curve is not strictly convex
-        (the polar criterion r^2 + 2 r'^2 - r r'' > 0 is checked on a dense
-        grid).
+        (the polar criterion r^2 + 2 r'^2 - r r'' > 0 is checked exactly,
+        by the roots of that piecewise polynomial).
         """
         beta = np.asarray(beta, dtype=float)
         r = np.asarray(r, dtype=float)
@@ -140,22 +145,25 @@ class SmoothContour:
             raise ValueError("beta samples must span less than one full turn")
         if not np.all(r > 0):
             raise ValueError("polar radii must be positive")
-        from scipy.interpolate import CubicSpline
+        from scipy.interpolate import CubicSpline, PPoly
 
         knots = np.concatenate([beta, [beta[0] + TWO_PI]])
         values = np.concatenate([r, [r[0]]])
         spline = CubicSpline(knots, values, bc_type="periodic")
 
-        probe = beta[0] + TWO_PI * np.arange(CONVEXITY_SAMPLES) / CONVEXITY_SAMPLES
-        # Over the largest radius: the same sign, at any scale without overflow.
-        rr, r1, r2 = (spline(probe, nu) / r.max() for nu in range(3))
-        # Signed curvature of a polar curve is proportional to this; it must
-        # keep one sign for the tangent direction never to reverse.
-        turn = rr * rr + 2.0 * r1 * r1 - rr * r2
-        if not np.all(turn > 0):
+        # Signed curvature of a polar curve is proportional to the turning term
+        # r^2 + 2 r'^2 - r r''; it must keep one sign for the tangent direction
+        # never to reverse.  On each knot interval it is a degree-6 polynomial,
+        # built from the spline's coefficient rows over the largest radius (the
+        # same sign, at any scale without overflow).
+        rr, r1, r2 = (d.c / r.max() for d in (spline, spline.derivative(1), spline.derivative(2)))
+        turn = _poly_mul(rr, rr)
+        turn[2:] += 2.0 * _poly_mul(r1, r1) - _poly_mul(rr, r2)
+        roots = PPoly(turn, knots).roots(extrapolate=False)
+        if roots.size or not turn[-1, 0] > 0:
+            where = roots[0] if roots.size else knots[0]
             raise ConvexityViolation(
-                "polar contour is not strictly convex "
-                f"(min turning term {turn.min():.3e} at beta {probe[np.argmin(turn)]:.4f})"
+                f"polar contour is not strictly convex (turning term is not positive at beta {where:.4f})"
             )
         return cls(kind="polar", pole_offset=pole_offset, _r=spline)
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -24,7 +23,6 @@ CSV_HEADER = "z,ys,yi"
 SVG_W = 800
 SVG_H = 300
 SVG_MARGIN = 0.05
-SVG_BLOCK = 4096  # points per formatted string in write_svg
 
 RIBBON_COLOR = "#4c78a8"
 UPPER_COLOR = "#4c78a8"
@@ -106,34 +104,34 @@ def write_svg(img: KinematicImage, path: PathLike) -> None:
     zmid = 0.5 * float(z[0] + z[-1])
     ymid = 0.5 * (ylo + yhi)
     x = SVG_W / 2.0 + (z - zmid) * scale
-    point = "{:.3f},{:.3f}".format
+    # x grows with z, so each pixel column is one run of samples.
+    col = np.floor(x)
+    first = np.flatnonzero(np.diff(col, prepend=-np.inf))
+    last = np.append(first[1:] - 1, x.size - 1)
 
-    def blocks(y):
-        # Each point formatted once, SVG_BLOCK to a string; no whole-curve string.
+    def points(y):
+        # A column's first, last, lowest and highest samples draw it as all of
+        # them would (M4 aggregation); sorted by height, a run starts at its
+        # lowest sample and ends at its highest.
         y = SVG_H / 2.0 - (y - ymid) * scale
-        return [
-            " ".join(map(point, x[i : i + SVG_BLOCK].tolist(), y[i : i + SVG_BLOCK].tolist()))
-            for i in range(0, x.size, SVG_BLOCK)
-        ]
+        order = np.lexsort((y, col))
+        keep = np.unique(np.concatenate((first, last, order[first], order[last])))
+        return list(map("{:.3f},{:.3f}".format, x[keep].tolist(), y[keep].tolist()))
 
-    upper, lower = blocks(ys), blocks(yi)
-    ribbon = chain(upper, (" ".join(reversed(b.split(" "))) for b in reversed(lower)))
-    with open(path, "w", encoding="ascii") as f:
-        f.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_W} {SVG_H}" '
-            f'width="{SVG_W}" height="{SVG_H}">\n'
-            f'  <rect width="{SVG_W}" height="{SVG_H}" fill="white"/>\n'
-        )
-        for tag, pieces, style in (
-            ("polygon", ribbon, f'fill="{RIBBON_COLOR}" fill-opacity="0.25" stroke="none"'),
-            ("polyline", upper, f'fill="none" stroke="{UPPER_COLOR}" stroke-width="1.5"'),
-            ("polyline", lower, f'fill="none" stroke="{LOWER_COLOR}" stroke-width="1.5"'),
-        ):
-            f.write(f'  <{tag} points="')
-            for i, piece in enumerate(pieces):
-                f.write(" " + piece if i else piece)
-            f.write(f'" {style}/>\n')
-        f.write("</svg>\n")
+    upper, lower = points(ys), points(yi)
+    curves = (
+        ("polygon", upper + lower[::-1], f'fill="{RIBBON_COLOR}" fill-opacity="0.25" stroke="none"'),
+        ("polyline", upper, f'fill="none" stroke="{UPPER_COLOR}" stroke-width="1.5"'),
+        ("polyline", lower, f'fill="none" stroke="{LOWER_COLOR}" stroke-width="1.5"'),
+    )
+    Path(path).write_text(
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_W} {SVG_H}" '
+        f'width="{SVG_W}" height="{SVG_H}">\n'
+        f'  <rect width="{SVG_W}" height="{SVG_H}" fill="white"/>\n'
+        + "".join(f'  <{tag} points="{" ".join(pts)}" {style}/>\n' for tag, pts, style in curves)
+        + "</svg>\n",
+        encoding="ascii",
+    )
 
 
 def format_report(rep: InverseReport) -> str:

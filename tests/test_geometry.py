@@ -383,6 +383,13 @@ def test_from_polar_rejects_reentrant_lobe():
     beta, r = reentrant_polar_table()
     with pytest.raises(ConvexityViolation):
         SmoothContour.from_polar(beta, r)
+    # A narrow dent: r r'' reaches 1e-3 / sigma^2 = 2.5e4 at its centre, so the
+    # contour turns back there, yet its radius is 1 to 1e-15 at every multiple
+    # of 2 pi / 2048 around it.
+    beta = TWO_PI * np.arange(65536) / 65536
+    r = 1.0 - 1e-3 * np.exp(-0.5 * ((beta - math.pi / 2048) / 2e-4) ** 2)
+    with pytest.raises(ConvexityViolation):
+        SmoothContour.from_polar(beta, r)
 
 
 def test_tangency_two_roots_on_random_convex_contours():

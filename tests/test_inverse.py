@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,35 @@ def test_identify_is_exact_under_power_of_two_scaling(k):
     for name in ("apothem_m", "circumradius_M", "midline", "residual"):
         assert getattr(rep, name) == math.ldexp(getattr(base, name), k), name
     assert rep.omega_over_v == math.ldexp(base.omega_over_v, -k)
+
+
+@pytest.mark.parametrize("change", ["z0", "film_speed", "theta0", "mirror"])
+def test_identify_is_invariant_on_random_polygons(change):
+    # A regular polygon about its centre gives the same trace after a shift of
+    # the film, a turn by one side, or a mirror (its axis is vertical); a film
+    # four times as fast stretches z exactly.
+    rng = np.random.default_rng(59)
+    for _ in range(60):
+        n = int(rng.integers(3, 17))
+        omega, speed, theta0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI)
+        shape = regular_ngon(n, rng.uniform(0.5, 2.0))
+        grid = TimeGrid(duration=3 * TWO_PI / omega, samples=3 * n * int(rng.choice([16, 64, 256])))
+        motion = MotionProfile(omega=omega, film_speed=speed, theta0=theta0)
+        moved = {
+            "z0": replace(motion, z0=rng.uniform(-50.0, 50.0)),
+            "film_speed": replace(motion, film_speed=4.0 * speed),
+            "theta0": replace(motion, theta0=theta0 + TWO_PI / n),
+            "mirror": replace(motion, omega=-omega, theta0=-theta0),
+        }[change]
+        base, rep = (identify(trace(shape, m, grid)) for m in (motion, moved))
+        assert (rep.n, rep.parity, rep.warnings) == (base.n, base.parity, base.warnings)
+        if change == "film_speed":
+            assert rep == replace(base, omega_over_v=base.omega_over_v / 4)
+            continue
+        for name in ("apothem_m", "circumradius_M", "midline", "residual"):
+            assert abs(getattr(rep, name) - getattr(base, name)) <= 1e-12 * base.circumradius_M, name
+        for name in ("omega_over_v", "n_raw"):
+            assert abs(getattr(rep, name) - getattr(base, name)) <= 1e-12 * getattr(base, name), name
 
 
 def test_interior_maxima_hysteresis_and_end_drop():

@@ -99,6 +99,35 @@ def test_svg_points_follow_the_pixel_map(tmp_path):
         assert ribbon.split(" ") == upper.split(" ") + lower.split(" ")[::-1]
 
 
+def test_svg_keeps_each_pixel_columns_extremes(tmp_path):
+    # 100k samples over 720 pixel columns: each curve keeps at most a column's
+    # first, last, lowest and highest samples, and its drawn extent is theirs.
+    img = trace(regular_ngon(7, 1.0), MotionProfile(omega=1.0, film_speed=1.0),
+                TimeGrid(duration=20.0, samples=100_000))
+    p = tmp_path / "plot.svg"
+    write_svg(img, p)
+    z = img.z
+    scale = min(720.0 / (z[-1] - z[0]), 270.0 / (img.y_s.max() - img.y_i.min()))
+    zmid, ymid = 0.5 * (z[0] + z[-1]), 0.5 * (img.y_i.min() + img.y_s.max())
+    x = 400.0 + (z - zmid) * scale
+    col = np.floor(x)
+    sample_of = {f"{a:.3f}": i for i, a in enumerate(x.tolist())}  # x steps by 0.0072
+    assert len(sample_of) == len(x)
+    for y, written in zip((img.y_s, img.y_i), re.findall(r'<polyline points="([^"]*)"', p.read_text())):
+        y = 150.0 - (y - ymid) * scale
+        xs, ws = zip(*(pt.split(",") for pt in written.split(" ")))
+        kept = np.array([sample_of[a] for a in xs])
+        assert np.all(np.diff(kept) > 0)
+        cols, counts = np.unique(col[kept], return_counts=True)
+        assert np.array_equal(cols, np.unique(col)) and counts.max() <= 4
+        runs = np.flatnonzero(np.diff(col, prepend=-np.inf))
+        kept_runs = np.flatnonzero(np.diff(col[kept], prepend=-np.inf))
+        wy = np.array(ws, dtype=float)
+        for reduce in (np.minimum, np.maximum):
+            want = [float(f"{v:.3f}") for v in reduce.reduceat(y, runs).tolist()]
+            assert np.array_equal(reduce.reduceat(wy, kept_runs), want)
+
+
 def test_svg_is_deterministic(tmp_path):
     img = square_image()
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -201,6 +230,13 @@ def test_cli_render(tmp_path):
                 "--out", str(csv)]) == 0
     assert run(["render", "--in", str(csv), "--svg", str(svg)]) == 0
     assert "<polyline" in svg.read_text()
+    # The plot is a function of the trace, and its size one of the canvas.
+    direct_svg = tmp_path / "t.svg"
+    assert run(["direct", "--shape", "ngon", "--sides", "11", "--circumradius", "1.0",
+                "--samples", "100000", "--out", str(csv), "--svg", str(direct_svg)]) == 0
+    assert run(["render", "--in", str(csv), "--svg", str(svg)]) == 0
+    assert svg.read_bytes() == direct_svg.read_bytes()
+    assert direct_svg.stat().st_size < 100_000
 
 
 def test_cli_check_single_case(tmp_path, capsys):
