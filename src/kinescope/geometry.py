@@ -23,15 +23,15 @@ from .errors import ConvexityViolation
 TWO_PI = 2.0 * math.pi
 
 # Grid density for bracketing tangency roots.  The highest and the lowest
-# of 720 boundary samples each sit in or next to the grid cell that holds
-# a root, and that cell is then bisected; 720 is far more than a strictly
+# of 720 boundary samples each sit within one grid cell of a root, so the
+# two cells around the sample bracket it; 720 is far more than a strictly
 # convex contour needs, and cheap.
 SCAN_SAMPLES = 720
 
-# Bisection stops when the bracket is narrower than this.  The support
+# Absolute tolerance on each root's angle, passed to brentq.  The support
 # height is stationary at the root, so an angle error of 1e-14 perturbs
 # the height at second order, far below every tolerance we quote.
-BISECT_TOL = 1e-14
+ROOT_XTOL = 1e-14
 
 Vec2 = NDArray[np.float64]
 
@@ -271,20 +271,6 @@ def contour_tangent(c: SmoothContour, beta):
     return np.stack([x, y], axis=-1)
 
 
-def _bisect(g, lo: float, hi: float, rising: float) -> float:
-    # Plain bisection; the caller guarantees g has rising's sign at lo, not at hi.
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (rising > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
     """Find the two boundary parameters ``(beta_upper, beta_lower)`` whose
     tangent is horizontal after rotation by theta.
@@ -293,34 +279,32 @@ def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
     derivative of the rotated point's Y coordinate, so its roots are the
     support points.  On a strictly convex contour that height has one
     maximum and one minimum over a turn, so the highest and the lowest
-    of 720 grid points each sit next to one root.  The sign of g there
-    says whether the root lies in the grid cell after or before it, and
-    that one cell is closed down by bisection to a width of 1e-14.
+    of 720 grid points each sit within one grid cell of a root.  scipy's
+    ``brentq`` closes each root over the two cells around its grid point
+    to 1e-14, and the result is reduced to [0, 2*pi).  g is measured in
+    a power-of-two unit of the contour's size, so the heights scale
+    exactly with the contour and brentq's steps neither underflow nor
+    overflow at extreme sizes.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    from scipy.optimize import brentq
+
     s, co = math.sin(theta), math.cos(theta)
+    grid = TWO_PI * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES
+    p = contour_point(c, grid)
+    exponent = -int(np.frexp(np.abs(p).max())[1])
 
     def g(beta):
-        t = contour_tangent(c, beta)
-        return t[..., 0] * s + t[..., 1] * co
+        t = np.ldexp(contour_tangent(c, beta), exponent)
+        return t[0] * s + t[1] * co
 
-    grid = TWO_PI * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES
-
-    def root(k: int, rising: float) -> float:
-        # rising is +1 at the maximum, -1 at the minimum.  While the height still
-        # moves toward the extreme at grid[k], the root is in the cell after it;
-        # else in the cell before (grid[-1] wraps).  Either way g at the cell's
-        # start has the sign of rising.
-        g_k = float(g(grid[k]))
-        if g_k == 0.0:
-            return float(grid[k])
-        lo = float(grid[k]) if g_k * rising > 0 else float(grid[k - 1])
-        return _bisect(g, lo, lo + TWO_PI / SCAN_SAMPLES, rising)
-
-    p = contour_point(c, grid)
     y = p[:, 0] * s + p[:, 1] * co
-    return root(int(np.argmax(y)), 1.0), root(int(np.argmin(y)), -1.0)
+    cell = TWO_PI / SCAN_SAMPLES
+    return tuple(
+        float(reduce_angle(brentq(g, grid[k] - cell, grid[k] + cell, xtol=ROOT_XTOL)))
+        for k in (np.argmax(y), np.argmin(y))
+    )
 
 
 def polygon_envelope(p: ConvexPolygon, theta):

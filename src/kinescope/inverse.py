@@ -78,7 +78,14 @@ class InverseReport:
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
+    # Squares past 1e154 overflow; only then is x taken in a power-of-two unit
+    # of its size, so every input that does not overflow keeps its bits.
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(np.square(x))))
+    if rms == math.inf:
+        e = int(np.frexp(np.max(np.abs(x)))[1])
+        rms = math.ldexp(float(np.sqrt(np.mean(np.square(np.ldexp(x, -e))))), e)
+    return rms
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, k: int) -> tuple[float, float]:

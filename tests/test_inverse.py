@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,7 @@ def test_side_count_recovers_each_n():
     assert side_count(math.cos(math.pi / 65), 1.0, n_max=64) == CIRCLE
     # a tighter gate turns a crisp 12-gon ratio into a circle call
     assert side_count(math.cos(math.pi / 12), 1.0, n_max=8) == CIRCLE
+    assert side_count(0.5, 1.0, n_max=3) == 3
 
 
 def test_side_count_rejects_bad_inputs():
@@ -109,7 +111,7 @@ def test_parity_circle():
     assert identify(img).parity == "circle"
 
 
-@pytest.mark.parametrize("k", [-60, -40, 0, 100, 300])
+@pytest.mark.parametrize("k", [-60, -40, 0, 100, 300, 511, 1000])
 def test_identify_is_exact_under_power_of_two_scaling(k):
     # A tiny image is scaled, not flat: only an exactly flat one is degenerate.
     img = ngon_image(5)
@@ -211,6 +213,7 @@ def test_identify_triangle():
     assert rep.parity == "odd"
     assert abs(rep.omega_over_v - 0.5) < 1e-6
     assert rep.residual < 1e-8
+    assert rep.warnings == ()
 
 
 @pytest.mark.parametrize("spp", [8, 16])
@@ -226,6 +229,58 @@ def test_identify_residual_at_rounding_on_cusp_grid(n, spp):
     rep = identify(img)
     assert rep.n == n
     assert rep.residual <= 1e-9 * rep.circumradius_M
+
+
+def test_identify_residual_finds_the_phase():
+    # At a random starting angle the envelope must be re-synthesized at the
+    # right phase; with either sign of it flipped the gap is about 0.17 M.
+    # The bounded polish closes the phase to about 1e-5 rad, which bounds
+    # the gap on a noiseless trace.
+    rng = np.random.default_rng(61)
+    for n in range(3, 17):
+        for _ in range(3):
+            omega, speed = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            motion = MotionProfile(omega=omega, film_speed=speed, theta0=rng.uniform(0.0, TWO_PI))
+            grid = TimeGrid(duration=16 * TWO_PI / (n * omega), samples=16 * 1000)
+            rep = identify(trace(regular_ngon(n, rng.uniform(0.5, 2.0)), motion, grid))
+            assert rep.n == n
+            assert rep.residual <= 1e-5 * rep.circumradius_M, f"n={n}"
+
+
+def test_identify_gives_a_report_or_value_error_on_any_trace():
+    # Walks, sawtooths, sines, spikes and noise, half of them as upper and
+    # lower bands about a midline, at every height scale a float holds.
+    rng = np.random.default_rng(67)
+    for i in range(3000):
+        size = int(rng.integers(16, 600))
+        z = np.cumsum(rng.uniform(0.5, 1.5, size))
+        kind = i % 5
+        curves = []
+        for _ in range(2):
+            if kind == 0:
+                c = np.cumsum(rng.normal(size=size))
+            elif kind == 1:
+                c = np.mod(z * rng.uniform(0.01, 0.5), 1.0)
+            elif kind == 2:
+                c = np.sin(z * rng.uniform(0.01, 1.0) + rng.uniform(0.0, TWO_PI))
+            elif kind == 3:
+                c = np.zeros(size)
+                c[rng.integers(0, size, int(rng.integers(1, 8)))] = rng.uniform(-1.0, 1.0)
+            else:
+                c = rng.uniform(-1.0, 1.0, size)
+            curves.append(c)
+        if rng.random() < 0.5:
+            lo = rng.uniform(0.0, 0.95)
+            curves = [lo + (1.0 - lo) * (c - c.min()) / (np.ptp(c) or 1.0) for c in curves]
+            curves[1] = -curves[1]
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        img = KinematicImage(z=z, y_s=scale * np.maximum(*curves), y_i=scale * np.minimum(*curves))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                identify(img)
+            except ValueError:
+                pass
 
 
 def test_identify_extracts_features_once(monkeypatch):
@@ -297,6 +352,13 @@ def test_identify_warns_on_offset_midline():
     assert rep.n == 4
     assert abs(rep.midline - 0.1) < 1e-6
     assert any("midline" in w for w in rep.warnings)
+    # Lifted by a whole circumradius, odd curves still match only half a
+    # period apart once the midline is taken out.
+    for n in range(7, 16, 2):
+        img = ngon_image(n)
+        rep = identify(KinematicImage(z=img.z, y_s=img.y_s + 1.0, y_i=img.y_i + 1.0))
+        assert rep.parity == "odd", f"n={n}"
+        assert any("midline" in w for w in rep.warnings)
 
 
 def test_identify_clamps_sub_triangle_ratio():
