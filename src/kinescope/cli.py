@@ -177,8 +177,8 @@ def _build_grid(ns: argparse.Namespace, profile: MotionProfile) -> TimeGrid:
         omega = ns.omega
         if omega == 0.0:
             raise ValueError("--periods is undefined for --omega 0; use --duration")
-        if not periods > 0:
-            raise ValueError("--periods must be positive")
+        if not 0 < periods < math.inf:
+            raise ValueError("--periods must be positive and finite")
         duration = periods * TWO_PI / abs(omega)
         rotations = periods
     else:

@@ -2,11 +2,18 @@
 
 CSV values are written with 17 significant digits, which round-trips
 IEEE doubles bit-exactly, so write-then-read is the identity on traces.
+Writing formats each block of 4096 rows with one ``%``.  Reading checks
+the header, then hands the rest of the file to numpy's ``loadtxt``.  If
+that parser refuses it, a line-by-line loop rereads the file from the
+start: it names the bad line, and it still takes what Python's ``float``
+takes and ``loadtxt`` does not (``1_0``, whitespace-only lines).  So the
+parser makes reading faster and changes nothing that is accepted.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from pathlib import Path
 from typing import Union
@@ -19,6 +26,8 @@ from .inverse import InverseReport
 PathLike = Union[str, Path]
 
 CSV_HEADER = "z,ys,yi"
+CSV_ROW = "%.17g,%.17g,%.17g\n"
+CSV_BLOCK = 4096  # rows per formatted string
 
 SVG_W = 800
 SVG_H = 300
@@ -31,10 +40,12 @@ LOWER_COLOR = "#e45756"
 
 def write_trace_csv(img: KinematicImage, path: PathLike) -> None:
     """Write the trace as CSV with header ``z,ys,yi``, one sample per line."""
-    rows = zip(img.z.tolist(), img.y_s.tolist(), img.y_i.tolist())
+    table = np.column_stack((img.z, img.y_s, img.y_i))
     with open(path, "w", encoding="ascii") as f:
         f.write(CSV_HEADER + "\n")
-        f.writelines(f"{z:.17g},{ys:.17g},{yi:.17g}\n" for z, ys, yi in rows)
+        for start in range(0, len(table), CSV_BLOCK):
+            block = table[start:start + CSV_BLOCK]
+            f.write(CSV_ROW * len(block) % tuple(block.ravel().tolist()))
 
 
 def _read_table(path: PathLike, header: str) -> np.ndarray:
@@ -45,6 +56,24 @@ def _read_table(path: PathLike, header: str) -> np.ndarray:
     field, naming the file line.  Returns an array of shape (columns,
     rows).
     """
+    names = header.split(",")
+    with open(path, encoding="ascii") as f, warnings.catch_warnings():
+        # A header-only file warns "input contained no data".
+        warnings.simplefilter("error", UserWarning)
+        try:
+            if [name.strip() for name in f.readline().split(",")] == names:
+                table = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+                if table.shape[1] == len(names):
+                    return table.T
+        except (ValueError, UserWarning):
+            pass
+    # Everything else, leading blank lines included, is the loop's to accept
+    # or to reject with the line's number.
+    return _read_lines(path, header)
+
+
+def _read_lines(path: PathLike, header: str) -> np.ndarray:
+    # _read_table one line at a time: slow, but it can say which line is bad.
     names = header.split(",")
     values = array("d")
     with open(path, encoding="ascii") as f:

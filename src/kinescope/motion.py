@@ -92,14 +92,14 @@ def integrate(profile: MotionProfile, t):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling times: ``samples`` points from 0 over ``duration``."""
+    """Uniform sampling times: ``samples`` points from 0 over a finite ``duration``."""
 
     duration: float
     samples: int
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise ValueError("duration must be positive and finite")
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
 

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kinescope import (
     ClosedFormCase,
+    ConvexPolygon,
     KinematicImage,
     MotionProfile,
     SmoothContour,
@@ -14,6 +16,8 @@ from kinescope import (
     regular_ngon,
     trace,
 )
+
+from _oracles import random_convex_polygon
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,6 +79,60 @@ def test_trace_periodicity_of_symmetric_shapes():
         img = trace(shape, UNIT_MOTION, grid)
         shifted = img.y_s[n_per:]
         assert np.max(np.abs(shifted - img.y_s[: len(shifted)])) < 1e-9
+
+
+
+def turned(p: ConvexPolygon, a: float) -> ConvexPolygon:
+    """The polygon, pole offset included, turned by a about the pole."""
+    c, s = math.cos(a), math.sin(a)
+    turn = np.array([[c, s], [-s, c]])  # a row vector times this is turned by a
+    return ConvexPolygon(p.vertices @ turn, p.pole_offset @ turn)
+
+
+def mirrored(p: ConvexPolygon) -> ConvexPolygon:
+    """The polygon reflected in its vertical axis, still counterclockwise."""
+    return ConvexPolygon(p.vertices[::-1] * [-1.0, 1.0], p.pole_offset * [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("change", ["theta0", "z0", "film_speed", "omega_sign", "pole", "reflection"])
+def test_trace_invariances_on_random_polygons(change):
+    # Each change of the motion is a known change of the trace: theta0 + a
+    # traces the polygon turned by a; z0 shifts z and a film four times as
+    # fast stretches it, both exactly, with the heights untouched; -omega
+    # traces the mirror image; a moved pole keeps the width; half a turn
+    # swaps the curves.  Tolerances are those of the height oracles.
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        shape = replace(random_convex_polygon(rng), pole_offset=rng.uniform(-5.0, 5.0, size=2))
+        omega, speed, theta0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI)
+        motion = MotionProfile(omega=omega, film_speed=speed, theta0=theta0)
+        grid = TimeGrid(duration=2 * TWO_PI / omega, samples=1000)
+        base = trace(shape, motion, grid)
+        if change == "pole":
+            got = trace(replace(shape, pole_offset=rng.uniform(-5.0, 5.0, size=2)), motion, grid)
+            assert np.array_equal(got.z, base.z)
+            assert np.max(np.abs((got.y_s - got.y_i) - (base.y_s - base.y_i))) < 1e-9
+            continue
+        if change == "theta0":
+            a = rng.uniform(0.0, TWO_PI)
+            got = trace(shape, replace(motion, theta0=theta0 + a), grid)
+            want, tol = trace(turned(shape, a), motion, grid), 1e-10
+        elif change == "z0":
+            c = rng.uniform(-50.0, 50.0)
+            got = trace(shape, replace(motion, z0=c), grid)
+            want, tol = KinematicImage(z=c + base.z, y_s=base.y_s, y_i=base.y_i), 0.0
+        elif change == "film_speed":
+            got = trace(shape, replace(motion, film_speed=4.0 * speed), grid)
+            want, tol = KinematicImage(z=4.0 * base.z, y_s=base.y_s, y_i=base.y_i), 0.0
+        elif change == "omega_sign":
+            got = trace(shape, replace(motion, omega=-omega, theta0=-theta0), grid)
+            want, tol = trace(mirrored(shape), motion, grid), 1e-10
+        else:
+            got = trace(shape, replace(motion, theta0=theta0 + math.pi), grid)
+            want, tol = KinematicImage(z=base.z, y_s=-base.y_i, y_i=-base.y_s), 1e-10
+        assert np.array_equal(got.z, want.z)
+        assert np.max(np.abs(got.y_s - want.y_s)) <= tol
+        assert np.max(np.abs(got.y_i - want.y_i)) <= tol
 
 
 def test_closed_form_circle_cases():

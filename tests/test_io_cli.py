@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,94 @@ def test_csv_read_errors_name_the_line(tmp_path):
     p.write_text("z,ys,yi\n0,1,-1\n1,-1,1\n")  # upper below lower
     with pytest.raises(ValueError, match="bad.csv"):
         read_trace_csv(p)
+
+
+ROWS = [[0.0, 1.0], [1.0, 1.0], [-1.0, -1.0]]  # z, ys, yi of "0,1,-1" then "1,1,-1"
+
+# What read_trace_csv makes of each file: its columns, or its error message
+# with {p} for the path.  The reader takes what Python's float takes, and
+# names the file line of the first bad row.
+READER_CASES = {
+    "blank line between rows": ("z,ys,yi\n0,1,-1\n\n1,1,-1\n", ROWS),
+    "whitespace-only line": ("z,ys,yi\n0,1,-1\n   \n1,1,-1\n", ROWS),
+    "tab-only line": ("z,ys,yi\n0,1,-1\n\t\n1,1,-1\n", ROWS),
+    "CRLF endings": ("z,ys,yi\r\n0,1,-1\r\n1,1,-1\r\n", ROWS),
+    "blank lines before the header": ("\n \nz,ys,yi\n0,1,-1\n1,1,-1\n", ROWS),
+    "spaced header and fields": (" z , ys , yi \n 0 , 1 , -1 \n1,1,-1\n", ROWS),
+    "underscore": ("z,ys,yi\n0,1,-1\n1_0,1,-1\n", [[0.0, 10.0], [1.0, 1.0], [-1.0, -1.0]]),
+    "plus sign": ("z,ys,yi\n+0,+1,-1\n+1,1,-1\n", ROWS),
+    "comment line": ("z,ys,yi\n# note\n0,1,-1\n1,1,-1\n", "{p}:2: expected 3 comma-separated values"),
+    "comment fields": ("z,ys,yi\n0,1,-1\n#,#,#\n", "{p}:3: non-numeric value in '#,#,#'"),
+    "trailing comma": ("z,ys,yi\n0,1,-1\n1,1,-1,\n", "{p}:3: expected 3 comma-separated values"),
+    "empty field": ("z,ys,yi\n0,1,-1\n1,,-1\n", "{p}:3: non-numeric value in '1,,-1'"),
+    "quoted field": ('z,ys,yi\n0,1,-1\n"1",1,-1\n', """{p}:3: non-numeric value in '"1",1,-1'"""),
+    "hex float": ("z,ys,yi\n0,1,-1\n0x1p0,1,-1\n", "{p}:3: non-numeric value in '0x1p0,1,-1'"),
+    "every row too narrow": ("z,ys,yi\n0,1\n1,1\n", "{p}:2: expected 3 comma-separated values"),
+    "wrong header": ("z,ys\n0,1\n1,1\n", "{p}: expected header 'z,ys,yi', got 'z,ys'"),
+    "header only": ("z,ys,yi\n", "{p}: an image needs at least 2 samples"),
+    "header and blank lines": ("z,ys,yi\n\n\n", "{p}: an image needs at least 2 samples"),
+    "one row": ("z,ys,yi\n0,1,-1\n", "{p}: an image needs at least 2 samples"),
+    "nan": ("z,ys,yi\n0,nan,-1\n1,1,-1\n", "{p}: y_s must be finite"),
+    "Infinity": ("z,ys,yi\n0,1,-1\n1,Infinity,-1\n", "{p}: y_s must be finite"),
+    "empty file": ("", "{p}: empty file"),
+    "blank file": ("\n \t\n", "{p}: empty file"),
+}
+
+
+@pytest.mark.parametrize("text, want", READER_CASES.values(), ids=READER_CASES.keys())
+def test_csv_reader_edge_cases(tmp_path, text, want):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode("ascii"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning turned into an error could be swallowed
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as exc:
+                read_trace_csv(p)
+            assert str(exc.value) == want.format(p=p)
+        else:
+            img = read_trace_csv(p)
+            assert [img.z.tolist(), img.y_s.tolist(), img.y_i.tolist()] == want
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_csv_reader_names_a_late_line_and_takes_a_late_underscore(tmp_path):
+    # Past the first few thousand rows the reader's answer is still the file's.
+    rows = "".join(f"{k},1,-1\n" for k in range(5000))
+    p = tmp_path / "t.csv"
+    p.write_text("z,ys,yi\n" + rows + "5000,1,oops\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:5002: non-numeric value in '5000,1,oops'")):
+        read_trace_csv(p)
+    p.write_text("z,ys,yi\n" + rows + "\t\n5_000,1,-1\n")
+    img = read_trace_csv(p)
+    assert np.array_equal(img.z, np.arange(5001.0))
+
+
+def reference_csv(img):
+    """The trace CSV one row at a time, as it has always been written."""
+    return "z,ys,yi\n" + "".join(
+        f"{z:.17g},{ys:.17g},{yi:.17g}\n" for z, ys, yi in zip(img.z.tolist(), img.y_s.tolist(), img.y_i.tolist())
+    )
+
+
+@pytest.mark.parametrize("rows", [2, 4095, 4096, 4097, 8193])
+def test_csv_writer_matches_the_row_by_row_reference(tmp_path, rows):
+    # Values where %g is most likely to go wrong: subnormals, 2^+-1000, -0.0,
+    # and magnitudes each side of the switch to exponent form.
+    stress = np.array([5e-324, 3 * 5e-324, 2.2250738585072014e-308, 2.0**-1000, 2.0**1000, 0.0, -0.0,
+                       9999999999999998.0, 1e16, 1.0000000000000002e16, 99999999999999984.0, 1e17,
+                       1.0000000000000002e17, 1.2345678901234568e17, 9.999999999999999e-05, 1e-4, 0.1, 1 / 3])
+    rng = np.random.default_rng(rows)
+    pool = np.concatenate((stress, -stress, rng.normal(size=4 * rows) * 10.0 ** rng.integers(-300, 300, 4 * rows)))
+    z = np.unique(rng.choice(pool, size=3 * rows))[:rows]
+    a, b = rng.choice(pool, size=(2, rows))
+    img = KinematicImage(z=z, y_s=np.maximum(a, b), y_i=np.minimum(a, b))
+    assert len(img) == rows
+    p = tmp_path / "t.csv"
+    write_trace_csv(img, p)
+    assert p.read_bytes() == reference_csv(img).encode("ascii")
+    back = read_trace_csv(p)
+    for name in ("z", "y_s", "y_i"):
+        assert getattr(back, name).tobytes() == getattr(img, name).tobytes()
 
 
 def test_svg_structure(tmp_path):
@@ -280,6 +369,38 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert run(["inverse", "--in", str(flat), "--n-max", "2"]) == 2
     assert run(["inverse", "--in", str(flat), "--n-max", "298156827"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("span", [["--periods", "inf"], ["--omega", "1e-320"]])
+def test_cli_infinite_duration_is_one_usage_error(tmp_path, capsys, span):
+    # 2*pi*periods/|omega| overflows to inf; no trace can last that long.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["direct", "--shape", "ngon", "--sides", "5", "--circumradius", "1", *span,
+                    "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_polar_file_goes_through_the_trace_reader(tmp_path, capsys):
+    beta = TWO_PI * np.arange(48) / 48
+    rows = [f"{b!r},1.5" for b in beta.tolist()]
+    clean, messy, bad = tmp_path / "clean.csv", tmp_path / "messy.csv", tmp_path / "bad.csv"
+    clean.write_text("beta,r\n" + "\n".join(rows) + "\n")
+    # blank, whitespace-only and tab-only lines, CRLF endings and an underscore
+    messy.write_bytes(("\r\nbeta , r\r\n" + "\r\n \r\n".join(rows[:-1]) + "\r\n\t\r\n"
+                       + rows[-1].replace("1.5", "1.5_0") + "\r\n").encode("ascii"))
+    bad.write_text("beta,r\n" + "\n".join(rows[:2]) + "\n\n0.5,1.5,\n")
+    traces = []
+    for table in (clean, messy):
+        out = tmp_path / f"{table.stem}-trace.csv"
+        assert run(["direct", "--shape", "polar", "--polar-file", str(table), "--samples", "64",
+                    "--out", str(out)]) == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+    assert run(["direct", "--shape", "polar", "--polar-file", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"error: --polar-file: {bad}:5: expected 2 comma-separated values\n"
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -105,7 +105,8 @@ def test_integrate_rejects_negative_time():
 def test_time_grid():
     g = TimeGrid(duration=2.0, samples=5)
     assert np.allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0], atol=0.0)
-    with pytest.raises(ValueError):
-        TimeGrid(duration=0.0, samples=8)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="duration"):
+            TimeGrid(duration=bad, samples=8)
     with pytest.raises(ValueError):
         TimeGrid(duration=1.0, samples=1)
