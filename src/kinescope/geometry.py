@@ -22,10 +22,10 @@ from .errors import ConvexityViolation
 
 TWO_PI = 2.0 * math.pi
 
-# Grid density for bracketing tangency roots.  The highest and the lowest
-# of 720 boundary samples each sit within one grid cell of a root, so the
-# two cells around the sample bracket it; 720 is far more than a strictly
-# convex contour needs, and cheap.
+# Grid density for bracketing tangency roots, made once per call.  At each
+# angle the highest and the lowest of 720 boundary samples each sit within
+# one grid cell of a root, so the two cells around the sample bracket it;
+# 720 is far more than a strictly convex contour needs, and cheap.
 SCAN_SAMPLES = 720
 
 # Absolute tolerance on each root's angle, passed to brentq.  The support
@@ -271,40 +271,40 @@ def contour_tangent(c: SmoothContour, beta):
     return np.stack([x, y], axis=-1)
 
 
-def tangency_roots(c: SmoothContour, theta: float) -> tuple[float, float]:
-    """Find the two boundary parameters ``(beta_upper, beta_lower)`` whose
-    tangent is horizontal after rotation by theta.
+def tangency_roots(c: SmoothContour, theta: ArrayLike) -> NDArray[np.float64]:
+    """Boundary parameters ``(beta_upper, beta_lower)`` whose tangent is
+    horizontal after rotation by theta, in [0, 2*pi): one array of shape
+    ``(2,) + theta.shape`` for a scalar or an array theta.
 
     The projected tangent g(beta) = tx*sin(theta) + ty*cos(theta) is the
     derivative of the rotated point's Y coordinate, so its roots are the
-    support points.  On a strictly convex contour that height has one
-    maximum and one minimum over a turn, so the highest and the lowest
-    of 720 grid points each sit within one grid cell of a root.  scipy's
-    ``brentq`` closes each root over the two cells around its grid point
-    to 1e-14, and the result is reduced to [0, 2*pi).  g is measured in
-    a power-of-two unit of the contour's size, so the heights scale
-    exactly with the contour and brentq's steps neither underflow nor
-    overflow at extreme sizes.
+    support points.  On a strictly convex contour the highest and the
+    lowest of 720 grid points, made once per call, each sit within one
+    grid cell of a root at every angle; scipy's ``brentq`` closes it over
+    the two cells around that point to 1e-14.  g is measured in a
+    power-of-two unit of the contour's size, so the heights scale exactly
+    with the contour and brentq's steps neither underflow nor overflow.
     """
-    if not math.isfinite(theta):
+    th = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(th)):
         raise ValueError("theta must be finite")
     from scipy.optimize import brentq
 
-    s, co = math.sin(theta), math.cos(theta)
     grid = TWO_PI * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES
+    lo, hi = grid - TWO_PI / SCAN_SAMPLES, grid + TWO_PI / SCAN_SAMPLES
     p = contour_point(c, grid)
     exponent = -int(np.frexp(np.abs(p).max())[1])
 
-    def g(beta):
+    def g(beta, s, co):
         t = np.ldexp(contour_tangent(c, beta), exponent)
         return t[0] * s + t[1] * co
 
-    y = p[:, 0] * s + p[:, 1] * co
-    cell = TWO_PI / SCAN_SAMPLES
-    return tuple(
-        float(reduce_angle(brentq(g, grid[k] - cell, grid[k] + cell, xtol=ROOT_XTOL)))
-        for k in (np.argmax(y), np.argmin(y))
-    )
+    def roots(s, co):
+        y = p[:, 0] * s + p[:, 1] * co
+        return [brentq(g, lo[k], hi[k], args=(s, co), xtol=ROOT_XTOL) for k in (y.argmax(), y.argmin())]
+
+    beta = [roots(math.sin(t), math.cos(t)) for t in th.flat]
+    return reduce_angle(np.reshape(np.transpose(beta), (2,) + th.shape))
 
 
 def polygon_envelope(p: ConvexPolygon, theta):
@@ -338,9 +338,9 @@ def support_heights(shape: Shape, theta):
 
     theta may be a scalar, which gives two floats, or an array, which
     gives two arrays of its shape.  Heights are measured from the pole,
-    which is the origin of body coordinates.  For a SmoothContour the
-    tangency points are found one angle at a time; the pole offset is
-    then projected and added to their heights over the whole array.
+    which is the origin of body coordinates.  For a SmoothContour one
+    ``tangency_roots`` call finds the tangency points of every angle;
+    the pole offset is then projected and added over the whole array.
     A non-finite angle raises ValueError.
     """
     th = np.asarray(theta, dtype=float)
@@ -349,8 +349,7 @@ def support_heights(shape: Shape, theta):
     if isinstance(shape, ConvexPolygon):
         ys, yi, _, _ = polygon_envelope(shape, th)
     else:
-        beta = np.array([tangency_roots(shape, t) for t in th.flat]).T.reshape((2,) + th.shape)
-        pts = contour_point(shape, beta)
+        pts = contour_point(shape, tangency_roots(shape, th))
         ys, yi = rot_proj(shape.pole_offset, th) + (pts[..., 0] * np.sin(th) + pts[..., 1] * np.cos(th))
     if th.ndim == 0:
         return float(ys), float(yi)

@@ -139,12 +139,13 @@ def write_svg(img: KinematicImage, path: PathLike) -> None:
     last = np.append(first[1:] - 1, x.size - 1)
 
     def points(y):
-        # A column's first, last, lowest and highest samples draw it as all of
-        # them would (M4 aggregation); sorted by height, a run starts at its
-        # lowest sample and ends at its highest.
+        # A column's first, last, lowest and highest samples, kept once each in
+        # z order, draw it as all of them would (M4 aggregation); sorted by
+        # height, a run starts at its lowest sample and ends at its highest.
         y = SVG_H / 2.0 - (y - ymid) * scale
         order = np.lexsort((y, col))
-        keep = np.unique(np.concatenate((first, last, order[first], order[last])))
+        keep = np.zeros(x.size, dtype=bool)
+        keep[np.concatenate((first, last, order[first], order[last]))] = True
         return list(map("{:.3f},{:.3f}".format, x[keep].tolist(), y[keep].tolist()))
 
     upper, lower = points(ys), points(yi)

@@ -17,7 +17,7 @@ from kinescope import (
     trace,
 )
 
-from _oracles import random_convex_polygon
+from _oracles import random_convex_polar, random_convex_polygon
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,45 +94,61 @@ def mirrored(p: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(p.vertices[::-1] * [-1.0, 1.0], p.pole_offset * [-1.0, 1.0])
 
 
-@pytest.mark.parametrize("change", ["theta0", "z0", "film_speed", "omega_sign", "pole", "reflection"])
-def test_trace_invariances_on_random_polygons(change):
+def check_invariance(shape, change: str, rng, turns: int, samples: int) -> None:
     # Each change of the motion is a known change of the trace: theta0 + a
     # traces the polygon turned by a; z0 shifts z and a film four times as
     # fast stretches it, both exactly, with the heights untouched; -omega
     # traces the mirror image; a moved pole keeps the width; half a turn
     # swaps the curves.  Tolerances are those of the height oracles.
+    omega, speed, theta0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI)
+    motion = MotionProfile(omega=omega, film_speed=speed, theta0=theta0)
+    grid = TimeGrid(duration=turns * TWO_PI / omega, samples=samples)
+    base = trace(shape, motion, grid)
+    if change == "pole":
+        got = trace(replace(shape, pole_offset=rng.uniform(-5.0, 5.0, size=2)), motion, grid)
+        assert np.array_equal(got.z, base.z)
+        assert np.max(np.abs((got.y_s - got.y_i) - (base.y_s - base.y_i))) < 1e-9
+        return
+    if change == "theta0":
+        a = rng.uniform(0.0, TWO_PI)
+        got = trace(shape, replace(motion, theta0=theta0 + a), grid)
+        want, tol = trace(turned(shape, a), motion, grid), 1e-10
+    elif change == "z0":
+        c = rng.uniform(-50.0, 50.0)
+        got = trace(shape, replace(motion, z0=c), grid)
+        want, tol = KinematicImage(z=c + base.z, y_s=base.y_s, y_i=base.y_i), 0.0
+    elif change == "film_speed":
+        got = trace(shape, replace(motion, film_speed=4.0 * speed), grid)
+        want, tol = KinematicImage(z=4.0 * base.z, y_s=base.y_s, y_i=base.y_i), 0.0
+    elif change == "omega_sign":
+        got = trace(shape, replace(motion, omega=-omega, theta0=-theta0), grid)
+        want, tol = trace(mirrored(shape), motion, grid), 1e-10
+    else:
+        got = trace(shape, replace(motion, theta0=theta0 + math.pi), grid)
+        want, tol = KinematicImage(z=base.z, y_s=-base.y_i, y_i=-base.y_s), 1e-10
+    assert np.array_equal(got.z, want.z)
+    assert np.max(np.abs(got.y_s - want.y_s)) <= tol
+    assert np.max(np.abs(got.y_i - want.y_i)) <= tol
+
+
+@pytest.mark.parametrize("change", ["theta0", "z0", "film_speed", "omega_sign", "pole", "reflection"])
+def test_trace_invariances_on_random_polygons(change):
     rng = np.random.default_rng(61)
     for _ in range(10):
         shape = replace(random_convex_polygon(rng), pole_offset=rng.uniform(-5.0, 5.0, size=2))
-        omega, speed, theta0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI)
-        motion = MotionProfile(omega=omega, film_speed=speed, theta0=theta0)
-        grid = TimeGrid(duration=2 * TWO_PI / omega, samples=1000)
-        base = trace(shape, motion, grid)
-        if change == "pole":
-            got = trace(replace(shape, pole_offset=rng.uniform(-5.0, 5.0, size=2)), motion, grid)
-            assert np.array_equal(got.z, base.z)
-            assert np.max(np.abs((got.y_s - got.y_i) - (base.y_s - base.y_i))) < 1e-9
-            continue
-        if change == "theta0":
-            a = rng.uniform(0.0, TWO_PI)
-            got = trace(shape, replace(motion, theta0=theta0 + a), grid)
-            want, tol = trace(turned(shape, a), motion, grid), 1e-10
-        elif change == "z0":
-            c = rng.uniform(-50.0, 50.0)
-            got = trace(shape, replace(motion, z0=c), grid)
-            want, tol = KinematicImage(z=c + base.z, y_s=base.y_s, y_i=base.y_i), 0.0
-        elif change == "film_speed":
-            got = trace(shape, replace(motion, film_speed=4.0 * speed), grid)
-            want, tol = KinematicImage(z=4.0 * base.z, y_s=base.y_s, y_i=base.y_i), 0.0
-        elif change == "omega_sign":
-            got = trace(shape, replace(motion, omega=-omega, theta0=-theta0), grid)
-            want, tol = trace(mirrored(shape), motion, grid), 1e-10
-        else:
-            got = trace(shape, replace(motion, theta0=theta0 + math.pi), grid)
-            want, tol = KinematicImage(z=base.z, y_s=-base.y_i, y_i=-base.y_s), 1e-10
-        assert np.array_equal(got.z, want.z)
-        assert np.max(np.abs(got.y_s - want.y_s)) <= tol
-        assert np.max(np.abs(got.y_i - want.y_i)) <= tol
+        check_invariance(shape, change, rng, turns=2, samples=1000)
+
+
+@pytest.mark.parametrize("change", ["z0", "film_speed", "pole", "reflection"])
+def test_trace_invariances_on_contours(change):
+    # The changes that need no turned or mirrored shape, on seeded wobble
+    # contours and offset ellipses.
+    rng = np.random.default_rng(67)
+    shapes = [random_convex_polar(rng) for _ in range(2)]
+    shapes += [SmoothContour.ellipse(a, a * rng.uniform(0.3, 0.95)) for a in rng.uniform(1.0, 3.0, 2)]
+    for shape in shapes:
+        shape = replace(shape, pole_offset=rng.uniform(-5.0, 5.0, size=2))
+        check_invariance(shape, change, rng, turns=1, samples=150)
 
 
 def test_closed_form_circle_cases():

@@ -182,6 +182,9 @@ def test_support_heights_array_matches_scalar():
         random_convex_polar(rng),
     ]
     th = rng.uniform(-TWO_PI, 2 * TWO_PI, 64)
+    # pi/2 +- 1e-9 puts a root in the wrap cell; the grid angles k * 2 pi / 720
+    # put the circle's roots on the scan's own grid points.
+    edges = np.concatenate([[math.pi / 2 - 1e-9, math.pi / 2 + 1e-9], TWO_PI * np.arange(720) / 720])
     for shape in shapes:
         scalar = np.array([support_heights(shape, float(t)) for t in th])
         for grid in (th, th.reshape(8, 8)):
@@ -191,6 +194,13 @@ def test_support_heights_array_matches_scalar():
             assert np.array_equal(yi.ravel(), scalar[:, 1])
         ys, yi = support_heights(shape, float(th[0]))
         assert type(ys) is float and type(yi) is float
+        if isinstance(shape, SmoothContour):
+            for grid in (th, th.reshape(8, 8), edges):
+                beta = tangency_roots(shape, grid)
+                assert beta.shape == (2,) + grid.shape
+                roots = np.array([tangency_roots(shape, float(t)) for t in grid.flat]).T
+                assert np.array_equal(beta.reshape(2, -1), roots)
+            assert tangency_roots(shape, float(th[0])).shape == (2,)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -202,6 +212,8 @@ def test_support_heights_rejects_non_finite_angle(bad):
             support_heights(shape, np.array([0.0, bad]))
     with pytest.raises(ValueError):
         tangency_roots(SmoothContour.ellipse(2.0, 1.0), bad)
+    with pytest.raises(ValueError):
+        tangency_roots(SmoothContour.ellipse(2.0, 1.0), np.array([[0.0, 1.0], [bad, 2.0]]))
 
 
 def test_polygon_envelope_square_at_zero_ties_to_lowest_index():

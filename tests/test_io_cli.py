@@ -190,7 +190,8 @@ def test_svg_points_follow_the_pixel_map(tmp_path):
 
 def test_svg_keeps_each_pixel_columns_extremes(tmp_path):
     # 100k samples over 720 pixel columns: each curve keeps at most a column's
-    # first, last, lowest and highest samples, and its drawn extent is theirs.
+    # first, last, lowest and highest samples, the first and the last always,
+    # and its drawn extent is theirs.
     img = trace(regular_ngon(7, 1.0), MotionProfile(omega=1.0, film_speed=1.0),
                 TimeGrid(duration=20.0, samples=100_000))
     p = tmp_path / "plot.svg"
@@ -210,6 +211,8 @@ def test_svg_keeps_each_pixel_columns_extremes(tmp_path):
         cols, counts = np.unique(col[kept], return_counts=True)
         assert np.array_equal(cols, np.unique(col)) and counts.max() <= 4
         runs = np.flatnonzero(np.diff(col, prepend=-np.inf))
+        # A column's first and last samples join it to its neighbours.
+        assert np.all(np.isin(runs, kept)) and np.all(np.isin(np.append(runs[1:] - 1, x.size - 1), kept))
         kept_runs = np.flatnonzero(np.diff(col[kept], prepend=-np.inf))
         wy = np.array(ws, dtype=float)
         for reduce in (np.minimum, np.maximum):
@@ -451,6 +454,20 @@ def test_import_kinescope_loads_no_scipy():
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_write_svg_loads_no_masked_arrays(tmp_path):
+    # Nothing here uses numpy.ma, and loading it would cost every direct and
+    # render process.  Only modules that the call itself loads count, since
+    # older numpy releases load numpy.ma with numpy.
+    src = str(Path(kinescope.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; import kinescope.io as kio; "
+            "z = np.linspace(0.0, 20.0, 5000); "
+            "img = kio.KinematicImage(z=z, y_s=np.sin(z) + 1.0, y_i=np.sin(z) - 1.0); "
+            f"before = set(sys.modules); kio.write_svg(img, {str(tmp_path / 'wave.svg')!r}); "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_config_validation(capsys):
