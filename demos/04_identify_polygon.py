@@ -26,8 +26,9 @@ noisy = KinematicImage(
 write_svg(noisy, out / "heptagon_noisy.svg")
 
 rep = identify(noisy)
+(out / "heptagon_noisy.txt").write_text(format_report(rep), encoding="ascii")
 print(f"true shape: {n}-gon, R = {R}, omega/v = {omega}")
 print(format_report(rep), end="")
 print("R recovered to %.2e relative, omega/v to %.2e relative"
       % (abs(rep.circumradius_M - R) / R, abs(rep.omega_over_v - omega) / omega))
-print("wrote", out / "heptagon_noisy.svg")
+print("wrote", out / "heptagon_noisy.svg", "and", out / "heptagon_noisy.txt")

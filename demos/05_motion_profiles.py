@@ -7,7 +7,7 @@ import math
 from pathlib import Path
 
 from kinescope import MotionProfile, TimeGrid, identify, integrate, regular_ngon, trace
-from kinescope.io import write_svg
+from kinescope.io import format_report, write_svg
 
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
@@ -25,7 +25,8 @@ write_svg(img, out / "square_spinup.svg")
 print("theta advanced %.3f turns over the record" % (integrate(profile, duration)[0] / two_pi))
 
 rep = identify(img)
+(out / "square_spinup.txt").write_text(format_report(rep), encoding="ascii")
 print(f"identified n = {rep.n} (parity {rep.parity})")
 for w in rep.warnings:
     print("warning:", w)
-print("wrote", out / "square_spinup.svg")
+print("wrote", out / "square_spinup.svg", "and", out / "square_spinup.txt")

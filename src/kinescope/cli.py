@@ -32,6 +32,13 @@ from .inverse import N_MAX_LIMIT, identify
 from .io import _read_table, format_report, read_trace_csv, write_svg, write_trace_csv
 from .motion import MotionProfile, TimeGrid, integrate
 
+# The size flags each --shape needs; "x|y" takes either one.
+SIZE_FLAGS = {"circle": ("--radius",), "ellipse": ("--a", "--b"),
+              "ngon": ("--sides", "--side-length|--circumradius"), "polar": ("--polar-file",)}
+
+# Largest sample count `direct` accepts: one float64 array of 1 GiB.
+MAX_SAMPLES = 2**27
+
 
 def n_max(text: str) -> int:
     """argparse type of ``--n-max``, so a bad value is never blamed on the trace."""
@@ -62,18 +69,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pole", choices=["center", "rim"], default="center",
                    help="rotation pole: shape center, or a rim point (circle only)")
     p.add_argument("--pole-x", type=float, default=None, help="explicit pole offset x")
-    p.add_argument("--pole-y", type=float, default=None, help="explicit pole offset y")
+    p.add_argument("--pole-y", type=float, default=0.0, help="explicit pole offset y")
     p.add_argument("--omega", type=float, default=1.0, help="constant angular rate (rad/time)")
     p.add_argument("--omega-file", help="piecewise table: lines of 't value'")
     p.add_argument("--speed", type=float, default=1.0, help="constant film speed")
     p.add_argument("--speed-file", help="piecewise table: lines of 't value'")
     p.add_argument("--theta0", type=float, default=0.0, help="initial angle (rad)")
     span = p.add_mutually_exclusive_group()
-    span.add_argument("--periods", type=float, default=None,
-                      help="duration as a count of full rotations (constant omega only)")
+    span.add_argument("--periods", type=float, default=1.0,
+                      help="duration as a count of full rotations (constant omega only; default 1)")
     span.add_argument("--duration", type=float, default=None, help="duration in time units")
     p.add_argument("--samples", type=int, default=None,
-                   help="sample count (default: 1024 per rotation)")
+                   help=f"sample count (default: 1024 per rotation; at most {MAX_SAMPLES})")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", help="also plot to this SVG path")
 
@@ -119,43 +126,35 @@ def _read_pairs(path: str, flag: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _pole_offset(ns: argparse.Namespace, default: tuple[float, float]) -> np.ndarray:
-    x, y = default
-    return np.array([x if ns.pole_x is None else ns.pole_x, y if ns.pole_y is None else ns.pole_y])
-
-
 def _build_shape(ns: argparse.Namespace) -> Shape:
     kind = ns.shape
-    if kind == "circle":
-        if ns.radius is None or not ns.radius > 0:
-            raise ValueError("--radius must be given and positive for --shape circle")
-        default = (ns.radius, 0.0) if ns.pole == "rim" else (0.0, 0.0)
-        return SmoothContour.circle(ns.radius, _pole_offset(ns, default))
-    if ns.pole == "rim":
+    missing = [need.replace("|", " or ") for need in SIZE_FLAGS[kind]
+               if all(getattr(ns, flag[2:].replace("-", "_")) is None for flag in need.split("|"))]
+    if missing:
+        raise ValueError(f"--shape {kind} needs {' and '.join(missing)}")
+    if ns.pole == "rim" and kind != "circle":
         raise ValueError("--pole rim only applies to --shape circle")
+    x0 = ns.radius if ns.pole == "rim" else 0.0
+    pole = (x0 if ns.pole_x is None else ns.pole_x, ns.pole_y)
+    if kind == "circle":
+        if not ns.radius > 0:
+            raise ValueError("--radius must be positive")
+        return SmoothContour.circle(ns.radius, pole)
     if kind == "ellipse":
-        if ns.a is None or ns.b is None:
-            raise ValueError("--a and --b are required for --shape ellipse")
-        return SmoothContour.ellipse(ns.a, ns.b, _pole_offset(ns, (0.0, 0.0)))
+        return SmoothContour.ellipse(ns.a, ns.b, pole)
     if kind == "ngon":
-        n = ns.sides
-        if n is None or n < 3:
-            raise ValueError("--sides of at least 3 is required for --shape ngon")
-        side, circ = ns.side_length, ns.circumradius
-        if side is None and circ is None:
-            raise ValueError("--side-length or --circumradius is required for --shape ngon")
-        if circ is None:
-            if not side > 0:
-                raise ValueError("--side-length must be positive")
-            circ = side / (2.0 * math.sin(math.pi / n))
-        return replace(regular_ngon(n, circ), pole_offset=_pole_offset(ns, (0.0, 0.0)))
-    if ns.polar_file is None:
-        raise ValueError("--polar-file is required for --shape polar")
+        n, side = ns.sides, ns.side_length
+        if n < 3:
+            raise ValueError("--sides must be at least 3")
+        if side is not None and not side > 0:
+            raise ValueError("--side-length must be positive")
+        circ = ns.circumradius if side is None else side / (2.0 * math.sin(math.pi / n))
+        return replace(regular_ngon(n, circ), pole_offset=pole)
     try:
         beta, r = _read_table(ns.polar_file, "beta,r")
     except (OSError, ValueError) as exc:
         raise ValueError(f"--polar-file: {exc}") from None
-    return SmoothContour.from_polar(beta, r, _pole_offset(ns, (0.0, 0.0)))
+    return SmoothContour.from_polar(beta, r, pole)
 
 
 def _build_profile(ns: argparse.Namespace) -> MotionProfile:
@@ -168,29 +167,26 @@ def _build_profile(ns: argparse.Namespace) -> MotionProfile:
 
 
 def _build_grid(ns: argparse.Namespace, profile: MotionProfile) -> TimeGrid:
-    periods, duration = ns.periods, ns.duration
-    if (periods is None) and (duration is None):
-        periods = 1.0
-    if periods is not None:
+    if ns.duration is None:
         if ns.omega_file:
             raise ValueError("--periods needs a constant --omega; use --duration instead")
-        omega = ns.omega
-        if omega == 0.0:
+        if ns.omega == 0.0:
             raise ValueError("--periods is undefined for --omega 0; use --duration")
-        if not 0 < periods < math.inf:
+        if not 0 < ns.periods < math.inf:
             raise ValueError("--periods must be positive and finite")
-        duration = periods * TWO_PI / abs(omega)
-        rotations = periods
+        duration, turns, span = ns.periods * TWO_PI / abs(ns.omega), ns.periods, "--periods"
     else:
-        if not duration > 0:
-            raise ValueError("--duration must be positive")
-        # Rotations are counted as the integral of |omega| over the record.
-        rates = [(t, abs(w)) for t, w in profile.omega] if ns.omega_file else abs(ns.omega)
-        turned, _ = integrate(MotionProfile(omega=rates), duration)
-        rotations = max(1.0, turned / TWO_PI)
-    samples = ns.samples
-    if samples is None:
-        samples = max(2, int(round(1024 * rotations)))
+        if not 0 < ns.duration < math.inf:
+            raise ValueError("--duration must be positive and finite")
+        # Turns are the integral of |omega| over the record; table times are never negative.
+        with np.errstate(over="ignore"):
+            turned, _ = integrate(MotionProfile(omega=np.abs(profile.omega)), ns.duration)
+        duration, turns, span = ns.duration, max(1.0, turned / TWO_PI), "--duration"
+    # 1024 per turn by default, clamped past the limit so that an infinite count rounds.
+    samples = max(2, round(min(1024 * turns, MAX_SAMPLES + 1))) if ns.samples is None else ns.samples
+    if samples > MAX_SAMPLES:
+        flag = span if ns.samples is None else "--samples"
+        raise ValueError(f"{flag} asks for more than {MAX_SAMPLES} samples")
     return TimeGrid(duration=duration, samples=samples)
 
 

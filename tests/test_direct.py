@@ -215,6 +215,9 @@ def test_oracle_check_worked_cases():
         (ClosedFormCase.triangle_center(2.5), 500, 1e-12),
     ):
         assert oracle_check(case, n_theta) < tol, case.variant
+    for n_theta in (0, -5):
+        with pytest.raises(ValueError, match="n_theta"):
+            oracle_check(ClosedFormCase.circle_center(1.0), n_theta)
 
 
 def test_closed_form_case_shape_geometry():
@@ -252,6 +255,9 @@ def test_closed_form_case_validation():
         ClosedFormCase("square_center", 1.0, 5.0)
     with pytest.raises(ValueError):
         ClosedFormCase("circle_rim", 1.0, -3.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="b > 0"):
+            ClosedFormCase.ellipse_center(1.0, bad)
     assert ClosedFormCase("square_center", 1.0) == ClosedFormCase.square_center(1.0)
 
 
@@ -263,6 +269,10 @@ def test_kinematic_image_validation():
         KinematicImage(z=z, y_s=-np.ones(3), y_i=np.ones(3))
     with pytest.raises(ValueError):
         KinematicImage(z=z[:1], y_s=np.ones(1), y_i=np.zeros(1))
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        KinematicImage(z=z, y_s=np.ones(2), y_i=np.zeros(2))
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        KinematicImage(z=z[None], y_s=np.ones((1, 3)), y_i=np.zeros((1, 3)))
     img = KinematicImage(z=z, y_s=np.ones(3), y_i=np.zeros(3))
     assert np.array_equal(img.y_s - img.y_i, np.ones(3))
     with pytest.raises(ValueError):

@@ -266,6 +266,7 @@ def test_regular_ngon_square_and_triangle_coordinates():
     tri = regular_ngon(3, math.sqrt(3.0) / 3.0)
     want = np.array([[0.5, math.sqrt(3) / 6], [-0.5, math.sqrt(3) / 6], [0.0, -math.sqrt(3) / 3]])
     assert np.allclose(tri.vertices, want, atol=1e-15)
+    assert (len(sq), len(tri), len(regular_ngon(11, 1.0))) == (4, 3, 11)
 
 
 def test_regular_ngon_hexagon_apothem():
@@ -303,6 +304,12 @@ def test_smooth_contour_sizes_must_be_positive_and_finite():
             SmoothContour.ellipse(2.0, bad)
     with pytest.raises(ValueError):
         SmoothContour.ellipse(1.0, 2.0)  # a < b
+    with pytest.raises(ValueError, match="pole_offset must be a 2-vector"):
+        SmoothContour.circle(1.0, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="pole_offset must be finite"):
+        SmoothContour.circle(1.0, (math.nan, 0.0))
+    with pytest.raises(ValueError, match="unknown contour kind"):
+        SmoothContour("spline", 1.0, 1.0)
 
 
 def test_convex_polygon_requires_strict_ccw():
@@ -314,6 +321,8 @@ def test_convex_polygon_requires_strict_ccw():
         ConvexPolygon([(0, 0), (1, 0), (1, 0)])  # repeated vertex
     with pytest.raises(ValueError):
         ConvexPolygon([(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        ConvexPolygon([(0, 0), (1, 0), (math.inf, 1)])
     # A {5/2} pentagram turns left at every corner but winds twice.
     star = np.radians(90.0 + 144.0 * np.arange(5))
     with pytest.raises(ConvexityViolation):
@@ -389,6 +398,14 @@ def test_from_polar_validation():
         SmoothContour.from_polar(beta[::-1], np.ones(32))
     with pytest.raises(ValueError):
         SmoothContour.from_polar(beta, np.zeros(32))
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        SmoothContour.from_polar(beta, np.ones(31))
+    with pytest.raises(ValueError, match="must be finite"):
+        SmoothContour.from_polar(beta, np.where(beta > 3.0, math.nan, 1.0))
+    with pytest.raises(ValueError, match="less than one full turn"):
+        SmoothContour.from_polar(np.linspace(0, TWO_PI, 32), np.ones(32))
+    with pytest.raises(ValueError, match="less than one full turn"):
+        SmoothContour.from_polar(beta - 0.1, np.ones(32))
 
 
 def test_from_polar_rejects_reentrant_lobe():

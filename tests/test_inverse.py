@@ -55,6 +55,15 @@ def test_extremes_degenerate():
     z = np.linspace(0.0, 1.0, 16)
     with pytest.raises(DegenerateImage):
         extremes(KinematicImage(z=z, y_s=np.zeros(16), y_i=np.zeros(16)))
+    # A top sample with a flat parabola through it: 1 - 2**-53 - 2 rounds to
+    # -1, so the second difference is 0 and the sample itself is kept.
+    z = np.arange(5.0)
+    ys = np.array([0.0, 1.0 - 2.0**-53, 1.0, 1.0, 0.0])
+    assert extremes(KinematicImage(z=z, y_s=ys, y_i=ys - 3.0)) == (1.0, 2.0, -1.0)
+    # Near the float range the parabola's sums overflow and its vertex is
+    # nan; the raw sample is kept, so the extremes stay finite.
+    ys = np.array([0.0, 1.5e308, 1.7e308, -1.5e308, 0.0])
+    assert extremes(KinematicImage(z=z, y_s=ys, y_i=np.full(5, -1.7e308))) == (-1.5e308, 1.7e308, 0.0)
 
 
 def test_side_count_worked_values():
@@ -185,6 +194,13 @@ def test_period_single_maximum_raises():
     ys = 0.6 + 0.4 * np.cos(z - math.pi)
     with pytest.raises(InsufficientData, match="found 1 interior maxima"):
         identify(KinematicImage(z=z, y_s=ys, y_i=-ys))
+    # Two maxima but fewer than 8 samples overlap at half a period: the
+    # parity test has no odd evidence, says even, and the 3-gon is flagged,
+    # although the lower curve is the upper one shifted by half a period.
+    ys = np.array([0.6, 1.0, 0.6, 1.0, 0.6])
+    rep = identify(KinematicImage(z=np.arange(5.0), y_s=ys, y_i=-(1.6 - ys)))
+    assert (rep.n, rep.parity) == (3, "even")
+    assert rep.warnings == ("parity test says even but a 3-gon is odd",)
 
 
 def test_period_warns_on_uneven_spacing():

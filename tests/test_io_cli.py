@@ -18,6 +18,7 @@ from kinescope import (
     regular_ngon,
     trace,
 )
+from kinescope import cli
 from kinescope.cli import run
 from kinescope.io import format_report, read_trace_csv, write_svg, write_trace_csv
 
@@ -277,6 +278,8 @@ def test_cli_direct_then_inverse(tmp_path, capsys):
     assert "n=5" in capsys.readouterr().out
     fields = dict(ln.split("=", 1) for ln in report.read_text().splitlines())
     assert fields["n"] == "5" and fields["parity"] == "odd"
+    assert run(["inverse", "--in", str(csv), "--n-max", "16"]) == 0
+    assert capsys.readouterr().out == "n=5\n"
 
 
 def test_cli_direct_is_deterministic(tmp_path):
@@ -314,6 +317,11 @@ def test_cli_omega_file_sets_default_sample_count(tmp_path):
     assert run(args + ["--omega-file", str(table), "--out", str(from_table)]) == 0
     assert run(args + ["--omega", "10", "--out", str(constant)]) == 0
     assert len(read_trace_csv(from_table)) == len(read_trace_csv(constant)) == 9778
+    # Turns are counted from |omega|, so spinning backwards takes as many samples.
+    table.write_text("0 -10.0\n")
+    assert run(args + ["--omega-file", str(table), "--out", str(from_table)]) == 0
+    assert run(args + ["--omega", "-10", "--out", str(constant)]) == 0
+    assert len(read_trace_csv(from_table)) == len(read_trace_csv(constant)) == 9778
 
 
 def test_cli_render(tmp_path):
@@ -335,6 +343,20 @@ def test_cli_check_single_case(tmp_path, capsys):
     assert run(["check", "--case", "square"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS square")
+
+
+def test_cli_check_runs_every_case_and_fails_past_a_tolerance(monkeypatch, capsys):
+    assert run(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [f"PASS {name}" for name in cli.CHECKS]
+    # The same case, with its tolerance put at half the gap it printed.
+    line = lines[list(cli.CHECKS).index("reflection")]
+    gap = float(re.search(r"= (\S+) \(tol", line).group(1))
+    assert gap > 0.0
+    check, _ = cli.CHECKS["reflection"]
+    monkeypatch.setitem(cli.CHECKS, "reflection", (check, gap / 2))
+    assert run(["check", "--case", "reflection"]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL reflection: max |Y_i(t) + Y_s(t+pi)| = {gap:.3e}")
 
 
 def test_cli_check_closed_forms_at_custom_sizes(capsys):
@@ -384,6 +406,34 @@ def test_cli_infinite_duration_is_one_usage_error(tmp_path, capsys, span):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("span, flag", [
+    (["--periods", "1e300"], "--periods"),
+    (["--periods", "1e6"], "--periods"),
+    (["--periods", "1e308"], "--periods"),
+    (["--omega", "1", "--duration", "1e12"], "--duration"),
+    (["--omega", "1e300", "--duration", "1e10"], "--duration"),
+    (["--samples", "1000000000000"], "--samples"),
+])
+def test_cli_sample_count_is_bounded(tmp_path, capsys, span, flag):
+    # Each count is refused before anything of its size is allocated.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["direct", "--shape", "ngon", "--sides", "5", "--circumradius", "1", *span,
+                    "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {flag} asks for more than {cli.MAX_SAMPLES} samples\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_sample_limit_is_inclusive(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 100)
+    args = ["direct", "--shape", "circle", "--radius", "1", "--out", str(tmp_path / "t.csv")]
+    assert run(args + ["--samples", "100"]) == 0
+    assert len(read_trace_csv(tmp_path / "t.csv")) == 100
+    assert run(args + ["--samples", "101"]) == 2
+    assert run(args) == 2  # 1024 per turn by default
+    assert capsys.readouterr().err.splitlines()[-1] == "error: --periods asks for more than 100 samples"
 
 
 def test_cli_polar_file_goes_through_the_trace_reader(tmp_path, capsys):
@@ -442,6 +492,14 @@ def test_cli_pole_x_y_override_the_default_pole(tmp_path):
     assert run(["direct", "--shape", "circle", "--radius", "1", "--pole-x", "0.5",
                 "--pole-y", "-0.25", "--samples", "256", "--out", str(csv)]) == 0
     want = trace(SmoothContour.circle(1.0, (0.5, -0.25)), MotionProfile(omega=1.0, film_speed=1.0),
+                 TimeGrid(duration=TWO_PI, samples=256))
+    got = read_trace_csv(csv)
+    for name in ("z", "y_s", "y_i"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    # --pole rim puts the default pole at (radius, 0); --pole-y still moves it.
+    assert run(["direct", "--shape", "circle", "--radius", "1.5", "--pole", "rim", "--pole-y", "0.5",
+                "--samples", "256", "--out", str(csv)]) == 0
+    want = trace(SmoothContour.circle(1.5, (1.5, 0.5)), MotionProfile(omega=1.0, film_speed=1.0),
                  TimeGrid(duration=TWO_PI, samples=256))
     got = read_trace_csv(csv)
     for name in ("z", "y_s", "y_i"):

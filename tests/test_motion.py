@@ -87,6 +87,9 @@ def test_profile_validation():
         MotionProfile(omega=[(0.0, 1.0), (0.0, 2.0)])
     with pytest.raises(ValueError):
         MotionProfile(omega=math.nan)
+    for table in ([(0.0, 1.0, 2.0)], [0.0, 1.0], []):
+        with pytest.raises(ValueError, match=r"sequence of \(t, value\) pairs"):
+            MotionProfile(omega=table)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             MotionProfile(theta0=bad)
@@ -100,6 +103,9 @@ def test_integrate_rejects_negative_time():
         integrate(m, -0.1)
     with pytest.raises(ValueError):
         integrate(m, np.array([0.0, -1.0]))
+    for bad in (math.nan, math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="t must be finite"):
+            integrate(m, bad)
 
 
 def test_time_grid():
