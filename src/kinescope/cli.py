@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,47 +39,60 @@ SIZE_FLAGS = {"circle": ("--radius",), "ellipse": ("--a", "--b"),
 # Largest sample count `direct` accepts: one float64 array of 1 GiB.
 MAX_SAMPLES = 2**27
 
+# Largest --sides: building the polygon peaks near 96 bytes per vertex, 0.8 GiB at the limit.
+MAX_SIDES = 2**23
 
-def n_max(text: str) -> int:
-    """argparse type of ``--n-max``, so a bad value is never blamed on the trace."""
-    n = int(text)
-    if not 3 <= n <= N_MAX_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be from 3 to {N_MAX_LIMIT}, got {n}")
-    return n
+
+def _checked(kind: type, ok: Callable[[float], bool], why: str) -> Callable[[str], float]:
+    """An argparse type: ``kind(text)``, refused with ``why`` unless ``ok`` holds for it."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{why}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # One line, "error: --flag: why", as the commands print their own errors.
+        self.exit(2, f"error: {message.removeprefix('argument ')}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinescope",
         description="Trace rotating convex shapes onto a moving film, and identify "
         "regular polygons from such traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _checked(float, lambda x: 0 < x < math.inf, "must be positive and finite")
+    finite = _checked(float, math.isfinite, "must be finite")
 
     p = sub.add_parser("direct", help="synthesize a trace and write it as CSV (and SVG)")
     p.add_argument("--shape", required=True, choices=["circle", "ellipse", "ngon", "polar"])
-    p.add_argument("--radius", type=float, help="circle radius")
-    p.add_argument("--a", type=float, help="ellipse semi-axis along x (a >= b)")
-    p.add_argument("--b", type=float, help="ellipse semi-axis along y")
-    p.add_argument("--sides", type=int, help="ngon side count")
+    p.add_argument("--radius", type=positive, help="circle radius")
+    p.add_argument("--a", type=positive, help="ellipse semi-axis along x (a >= b)")
+    p.add_argument("--b", type=positive, help="ellipse semi-axis along y")
+    p.add_argument("--sides", help=f"ngon side count, 3..{MAX_SIDES}",
+                   type=_checked(int, lambda n: 3 <= n <= MAX_SIDES, f"must be from 3 to {MAX_SIDES}"))
     size = p.add_mutually_exclusive_group()
-    size.add_argument("--side-length", type=float, help="ngon side length")
-    size.add_argument("--circumradius", type=float, help="ngon circumradius")
+    size.add_argument("--side-length", type=positive, help="ngon side length")
+    size.add_argument("--circumradius", type=positive, help="ngon circumradius")
     p.add_argument("--polar-file", help="CSV of beta,r samples for --shape polar")
-    p.add_argument("--pole", choices=["center", "rim"], default="center",
-                   help="rotation pole: shape center, or a rim point (circle only)")
-    p.add_argument("--pole-x", type=float, default=None, help="explicit pole offset x")
-    p.add_argument("--pole-y", type=float, default=0.0, help="explicit pole offset y")
-    p.add_argument("--omega", type=float, default=1.0, help="constant angular rate (rad/time)")
+    p.add_argument("--pole-x", type=finite, default=0.0, help="pole offset x (default: the shape centre)")
+    p.add_argument("--pole-y", type=finite, default=0.0, help="pole offset y")
+    p.add_argument("--omega", type=finite, default=1.0, help="constant angular rate (rad/time)")
     p.add_argument("--omega-file", help="piecewise table: lines of 't value'")
-    p.add_argument("--speed", type=float, default=1.0, help="constant film speed")
+    p.add_argument("--speed", type=positive, default=1.0, help="constant film speed")
     p.add_argument("--speed-file", help="piecewise table: lines of 't value'")
-    p.add_argument("--theta0", type=float, default=0.0, help="initial angle (rad)")
+    p.add_argument("--theta0", type=finite, default=0.0, help="initial angle (rad)")
     span = p.add_mutually_exclusive_group()
-    span.add_argument("--periods", type=float, default=1.0,
+    span.add_argument("--periods", type=positive, default=1.0,
                       help="duration as a count of full rotations (constant omega only; default 1)")
-    span.add_argument("--duration", type=float, default=None, help="duration in time units")
-    p.add_argument("--samples", type=int, default=None,
+    span.add_argument("--duration", type=positive, default=None, help="duration in time units")
+    p.add_argument("--samples", type=_checked(int, lambda n: n >= 2, "must be at least 2"), default=None,
                    help=f"sample count (default: 1024 per rotation; at most {MAX_SAMPLES})")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", help="also plot to this SVG path")
@@ -87,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse", help="identify a regular polygon or circle from a trace CSV")
     p.add_argument("--in", dest="inp", required=True, help="input trace CSV")
     p.add_argument("--report", help="write the full key=value report here")
-    p.add_argument("--n-max", type=n_max, default=64,
-                   help=f"largest resolvable side count, 3..{N_MAX_LIMIT}")
+    p.add_argument("--n-max", default=64, help=f"largest resolvable side count, 3..{N_MAX_LIMIT}",
+                   type=_checked(int, lambda n: 3 <= n <= N_MAX_LIMIT, f"must be from 3 to {N_MAX_LIMIT}"))
 
     p = sub.add_parser("render", help="replot a trace CSV as SVG")
     p.add_argument("--in", dest="inp", required=True, help="input trace CSV")
@@ -96,10 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the built-in verification suite")
     p.add_argument("--case", choices=list(CHECKS), help="run a single check")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--side", type=float, default=1.0)
     return parser
 
 
@@ -132,29 +141,22 @@ def _build_shape(ns: argparse.Namespace) -> Shape:
                if all(getattr(ns, flag[2:].replace("-", "_")) is None for flag in need.split("|"))]
     if missing:
         raise ValueError(f"--shape {kind} needs {' and '.join(missing)}")
-    if ns.pole == "rim" and kind != "circle":
-        raise ValueError("--pole rim only applies to --shape circle")
-    x0 = ns.radius if ns.pole == "rim" else 0.0
-    pole = (x0 if ns.pole_x is None else ns.pole_x, ns.pole_y)
-    if kind == "circle":
-        if not ns.radius > 0:
-            raise ValueError("--radius must be positive")
-        return SmoothContour.circle(ns.radius, pole)
-    if kind == "ellipse":
-        return SmoothContour.ellipse(ns.a, ns.b, pole)
-    if kind == "ngon":
-        n, side = ns.sides, ns.side_length
-        if n < 3:
-            raise ValueError("--sides must be at least 3")
-        if side is not None and not side > 0:
-            raise ValueError("--side-length must be positive")
-        circ = ns.circumradius if side is None else side / (2.0 * math.sin(math.pi / n))
-        return replace(regular_ngon(n, circ), pole_offset=pole)
+    pole = (ns.pole_x, ns.pole_y)
+    flags = "/".join(SIZE_FLAGS[kind]).replace("|", "/")
     try:
+        if kind == "circle":
+            return SmoothContour.circle(ns.radius, pole)
+        if kind == "ellipse":
+            return SmoothContour.ellipse(ns.a, ns.b, pole)
+        if kind == "ngon":
+            circ = ns.circumradius or ns.side_length / (2.0 * math.sin(math.pi / ns.sides))
+            return replace(regular_ngon(ns.sides, circ), pole_offset=pole)
         beta, r = _read_table(ns.polar_file, "beta,r")
+        return SmoothContour.from_polar(beta, r, pole)
+    except ConvexityViolation as exc:
+        raise ConvexityViolation(f"{flags}: {exc}") from None
     except (OSError, ValueError) as exc:
-        raise ValueError(f"--polar-file: {exc}") from None
-    return SmoothContour.from_polar(beta, r, pole)
+        raise ValueError(f"{flags}: {exc}") from None
 
 
 def _build_profile(ns: argparse.Namespace) -> MotionProfile:
@@ -163,21 +165,15 @@ def _build_profile(ns: argparse.Namespace) -> MotionProfile:
     try:
         return MotionProfile(omega=omega, film_speed=speed, theta0=ns.theta0)
     except ValueError as exc:
-        raise ValueError(f"--omega/--speed/--theta0: {exc}") from None
+        raise ValueError(f"--omega-file/--speed-file: {exc}") from None
 
 
 def _build_grid(ns: argparse.Namespace, profile: MotionProfile) -> TimeGrid:
     if ns.duration is None:
-        if ns.omega_file:
-            raise ValueError("--periods needs a constant --omega; use --duration instead")
-        if ns.omega == 0.0:
-            raise ValueError("--periods is undefined for --omega 0; use --duration")
-        if not 0 < ns.periods < math.inf:
-            raise ValueError("--periods must be positive and finite")
+        if ns.omega_file or ns.omega == 0.0:
+            raise ValueError("--periods needs a constant, nonzero --omega; use --duration instead")
         duration, turns, span = ns.periods * TWO_PI / abs(ns.omega), ns.periods, "--periods"
     else:
-        if not 0 < ns.duration < math.inf:
-            raise ValueError("--duration must be positive and finite")
         # Turns are the integral of |omega| over the record; table times are never negative.
         with np.errstate(over="ignore"):
             turned, _ = integrate(MotionProfile(omega=np.abs(profile.omega)), ns.duration)
@@ -187,6 +183,8 @@ def _build_grid(ns: argparse.Namespace, profile: MotionProfile) -> TimeGrid:
     if samples > MAX_SAMPLES:
         flag = span if ns.samples is None else "--samples"
         raise ValueError(f"{flag} asks for more than {MAX_SAMPLES} samples")
+    if duration == math.inf:
+        raise ValueError("--periods/--omega: the duration 2*pi*periods/|omega| overflows")
     return TimeGrid(duration=duration, samples=samples)
 
 
@@ -278,32 +276,30 @@ def _check_roundtrip() -> tuple[float, str]:
     return worst_rel, "n=3..8 exact; max |M-R|/R"
 
 
-# Each check takes the parsed ``check`` flags and returns (worst, what it
-# measures), and passes when worst <= tol; closed-form gaps are relative to a.
+# Each check returns (worst, what it measures) and passes when worst <= tol; gaps are relative to a.
 CHECKS = {
-    "circle-center": (lambda ns: _check_closed_form(ClosedFormCase.circle_center(ns.radius)), 1e-12),
-    "circle-rim": (lambda ns: _check_closed_form(ClosedFormCase.circle_rim(ns.radius)), 1e-8),
-    "ellipse": (lambda ns: _check_closed_form(ClosedFormCase.ellipse_center(ns.a, ns.b)), 1e-8),
-    "square": (lambda ns: _check_closed_form(ClosedFormCase.square_center(ns.side)), 1e-12),
-    "triangle": (lambda ns: _check_closed_form(ClosedFormCase.triangle_center(ns.side)), 1e-12),
-    "reflection": (lambda ns: _check_reflection(), 1e-10),
-    "pole-invariance": (lambda ns: _check_pole_invariance(), 1e-9),
-    "roundtrip": (lambda ns: _check_roundtrip(), 1e-4),
+    "circle-center": (lambda: _check_closed_form(ClosedFormCase.circle_center(1.0)), 1e-12),
+    "circle-rim": (lambda: _check_closed_form(ClosedFormCase.circle_rim(1.0)), 1e-8),
+    "ellipse": (lambda: _check_closed_form(ClosedFormCase.ellipse_center(2.0, 1.0)), 1e-8),
+    "square": (lambda: _check_closed_form(ClosedFormCase.square_center(1.0)), 1e-12),
+    "triangle": (lambda: _check_closed_form(ClosedFormCase.triangle_center(1.0)), 1e-12),
+    "reflection": (_check_reflection, 1e-10),
+    "pole-invariance": (_check_pole_invariance, 1e-9),
+    "roundtrip": (_check_roundtrip, 1e-4),
 }
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
     """Run verification cases; print one PASS/FAIL line each."""
     names = [ns.case] if ns.case else list(CHECKS)
-    failures = 0
+    failed = False
     for name in names:
         check, tol = CHECKS[name]
-        worst, what = check(ns)
+        worst, what = check()
         ok = worst <= tol
         print(f"{'PASS' if ok else 'FAIL'} {name}: {what} = {worst:.3e} (tol {tol:.0e})")
-        if not ok:
-            failures += 1
-    return 1 if failures else 0
+        failed |= not ok
+    return int(failed)
 
 
 def run(argv: Optional[list[str]] = None) -> int:

@@ -86,7 +86,7 @@ class SmoothContour:
     There are two kinds: ``"ellipse"`` (semi-axes a >= b) and ``"polar"``
     (a periodic spline r(beta)).  Use the classmethods ``ellipse``,
     ``circle`` (the ellipse with a = b) and ``from_polar``; the raw
-    constructor is not validated for the polar case.
+    constructor does not check a polar spline's convexity.
     """
 
     kind: str
@@ -99,6 +99,8 @@ class SmoothContour:
         object.__setattr__(self, "pole_offset", _as_vec2(self.pole_offset, "pole_offset"))
         if self.kind not in ("ellipse", "polar"):
             raise ValueError(f"unknown contour kind {self.kind!r}")
+        if self.kind == "polar" and self._r is None:
+            raise ValueError("a polar contour needs its spline; build it with from_polar")
         if self.kind == "ellipse":
             if not all(0 < x < math.inf for x in (self.a, self.b)):
                 raise ValueError("semi-axes (a circle's radius) must be positive and finite")

@@ -82,16 +82,37 @@ def test_trace_periodicity_of_symmetric_shapes():
 
 
 
-def turned(p: ConvexPolygon, a: float) -> ConvexPolygon:
-    """The polygon, pole offset included, turned by a about the pole."""
+def polar_table(p: SmoothContour):
+    """The (beta, r) knots of a polar contour's spline."""
+    beta = p._r.x[:-1]
+    return beta, p._r(beta)
+
+
+def turned(p, a: float):
+    """The shape, pole offset included, turned by a about the pole.
+
+    A polar contour's table must be uniform from beta = 0, and a a whole
+    number of its knot steps: r(beta - a) is then the table shifted.
+    """
     c, s = math.cos(a), math.sin(a)
     turn = np.array([[c, s], [-s, c]])  # a row vector times this is turned by a
-    return ConvexPolygon(p.vertices @ turn, p.pole_offset @ turn)
+    if isinstance(p, ConvexPolygon):
+        return ConvexPolygon(p.vertices @ turn, p.pole_offset @ turn)
+    beta, r = polar_table(p)
+    return SmoothContour.from_polar(beta, np.roll(r, round(a / beta[1])), p.pole_offset @ turn)
 
 
-def mirrored(p: ConvexPolygon) -> ConvexPolygon:
-    """The polygon reflected in its vertical axis, still counterclockwise."""
-    return ConvexPolygon(p.vertices[::-1] * [-1.0, 1.0], p.pole_offset * [-1.0, 1.0])
+def mirrored(p):
+    """The shape reflected in its vertical axis (a polygon still counterclockwise).
+
+    A polar contour's table must be uniform from beta = 0, of even length:
+    r(pi - beta) is then the table read backwards from beta = pi.
+    """
+    if isinstance(p, ConvexPolygon):
+        return ConvexPolygon(p.vertices[::-1] * [-1.0, 1.0], p.pole_offset * [-1.0, 1.0])
+    beta, r = polar_table(p)
+    return SmoothContour.from_polar(beta, r[(beta.size // 2 - np.arange(beta.size)) % beta.size],
+                                    p.pole_offset * [-1.0, 1.0])
 
 
 def check_invariance(shape, change: str, rng, turns: int, samples: int) -> None:
@@ -99,7 +120,10 @@ def check_invariance(shape, change: str, rng, turns: int, samples: int) -> None:
     # traces the polygon turned by a; z0 shifts z and a film four times as
     # fast stretches it, both exactly, with the heights untouched; -omega
     # traces the mirror image; a moved pole keeps the width; half a turn
-    # swaps the curves.  Tolerances are those of the height oracles.
+    # swaps the curves.  Tolerances are those of the height oracles.  A
+    # turned or mirrored polar table is a new spline, equal to the old one
+    # moved only up to rounding, so it is turned by whole knot steps and
+    # held to the same 1e-10.
     omega, speed, theta0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI)
     motion = MotionProfile(omega=omega, film_speed=speed, theta0=theta0)
     grid = TimeGrid(duration=turns * TWO_PI / omega, samples=samples)
@@ -111,6 +135,9 @@ def check_invariance(shape, change: str, rng, turns: int, samples: int) -> None:
         return
     if change == "theta0":
         a = rng.uniform(0.0, TWO_PI)
+        if isinstance(shape, SmoothContour):
+            step = polar_table(shape)[0][1]
+            a = step * round(a / step)
         got = trace(shape, replace(motion, theta0=theta0 + a), grid)
         want, tol = trace(turned(shape, a), motion, grid), 1e-10
     elif change == "z0":
@@ -139,13 +166,16 @@ def test_trace_invariances_on_random_polygons(change):
         check_invariance(shape, change, rng, turns=2, samples=1000)
 
 
-@pytest.mark.parametrize("change", ["z0", "film_speed", "pole", "reflection"])
+@pytest.mark.parametrize("change", ["theta0", "z0", "film_speed", "omega_sign", "pole", "reflection"])
 def test_trace_invariances_on_contours(change):
-    # The changes that need no turned or mirrored shape, on seeded wobble
-    # contours and offset ellipses.
+    # Seeded wobble contours and offset ellipses.  An axis-aligned ellipse
+    # turns into itself only by the half turn of "reflection", so only the
+    # wobbles, uniform 48-knot tables, are turned and mirrored.
     rng = np.random.default_rng(67)
     shapes = [random_convex_polar(rng) for _ in range(2)]
     shapes += [SmoothContour.ellipse(a, a * rng.uniform(0.3, 0.95)) for a in rng.uniform(1.0, 3.0, 2)]
+    if change in ("theta0", "omega_sign"):
+        shapes = shapes[:2]
     for shape in shapes:
         shape = replace(shape, pole_offset=rng.uniform(-5.0, 5.0, size=2))
         check_invariance(shape, change, rng, turns=1, samples=150)
@@ -215,6 +245,19 @@ def test_oracle_check_worked_cases():
         (ClosedFormCase.triangle_center(2.5), 500, 1e-12),
     ):
         assert oracle_check(case, n_theta) < tol, case.variant
+    # ``kinescope check``'s measure, the gap over 512 angles relative to a,
+    # holds at the same tolerances from small sizes to large ones.
+    for case, tol in (
+        (ClosedFormCase.ellipse_center(3.0, 1.5), 1e-8),
+        (ClosedFormCase.circle_rim(2.5), 1e-8),
+        (ClosedFormCase.square_center(3.0), 1e-12),
+        (ClosedFormCase.triangle_center(2.5), 1e-12),
+        (ClosedFormCase.circle_center(0.7), 1e-12),
+        (ClosedFormCase.square_center(1e6), 1e-12),
+        (ClosedFormCase.triangle_center(1e5), 1e-12),
+        (ClosedFormCase.circle_center(1e6), 1e-12),
+    ):
+        assert oracle_check(case, 512) / case.a <= tol, case.variant
     for n_theta in (0, -5):
         with pytest.raises(ValueError, match="n_theta"):
             oracle_check(ClosedFormCase.circle_center(1.0), n_theta)

@@ -310,6 +310,8 @@ def test_smooth_contour_sizes_must_be_positive_and_finite():
         SmoothContour.circle(1.0, (math.nan, 0.0))
     with pytest.raises(ValueError, match="unknown contour kind"):
         SmoothContour("spline", 1.0, 1.0)
+    with pytest.raises(ValueError, match="polar contour needs its spline"):
+        SmoothContour("polar")
 
 
 def test_convex_polygon_requires_strict_ccw():

@@ -278,6 +278,7 @@ def test_cli_direct_then_inverse(tmp_path, capsys):
     assert "n=5" in capsys.readouterr().out
     fields = dict(ln.split("=", 1) for ln in report.read_text().splitlines())
     assert fields["n"] == "5" and fields["parity"] == "odd"
+    assert abs(float(fields["M"]) - 0.5 / math.sin(math.pi / 5)) < 1e-6  # side 1
     assert run(["inverse", "--in", str(csv), "--n-max", "16"]) == 0
     assert capsys.readouterr().out == "n=5\n"
 
@@ -292,7 +293,7 @@ def test_cli_direct_is_deterministic(tmp_path):
 
 def test_cli_direct_writes_svg_too(tmp_path):
     csv, svg = tmp_path / "t.csv", tmp_path / "t.svg"
-    rc = run(["direct", "--shape", "circle", "--radius", "1.0", "--pole", "rim",
+    rc = run(["direct", "--shape", "circle", "--radius", "1.0", "--pole-x", "1.0",
               "--out", str(csv), "--svg", str(svg)])
     assert rc == 0
     assert svg.read_text().startswith("<svg ")
@@ -359,15 +360,6 @@ def test_cli_check_runs_every_case_and_fails_past_a_tolerance(monkeypatch, capsy
     assert capsys.readouterr().out.startswith(f"FAIL reflection: max |Y_i(t) + Y_s(t+pi)| = {gap:.3e}")
 
 
-def test_cli_check_closed_forms_at_custom_sizes(capsys):
-    for args in (["ellipse", "--a", "3", "--b", "1.5"], ["circle-rim", "--radius", "2.5"],
-                 ["square", "--side", "3"], ["triangle", "--side", "2.5"],
-                 ["circle-center", "--radius", "0.7"], ["square", "--side", "1e6"],
-                 ["triangle", "--side", "1e5"], ["circle-center", "--radius", "1e6"]):
-        assert run(["check", "--case", *args]) == 0
-        assert capsys.readouterr().out.startswith(f"PASS {args[0]}:")
-
-
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     assert run(["inverse"]) == 2  # missing --in
@@ -426,6 +418,14 @@ def test_cli_sample_count_is_bounded(tmp_path, capsys, span, flag):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_cli_side_limit_is_inclusive(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SIDES", 8)
+    args = ["direct", "--shape", "ngon", "--circumradius", "1", "--samples", "64", "--out", str(tmp_path / "t.csv")]
+    assert run(args + ["--sides", "8"]) == 0
+    assert run(args + ["--sides", "9"]) == 2
+    assert capsys.readouterr().err == "error: --sides: must be from 3 to 8, got 9\n"
+
+
 def test_cli_sample_limit_is_inclusive(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_SAMPLES", 100)
     args = ["direct", "--shape", "circle", "--radius", "1", "--out", str(tmp_path / "t.csv")]
@@ -465,7 +465,7 @@ def test_cli_polar_file_goes_through_the_trace_reader(tmp_path, capsys):
      "--omega-file"),
     (["--shape", "circle", "--radius", "1", "--speed-file", "{d}/empty.txt"], "--speed-file"),
     (["--shape", "circle", "--radius", "1", "--speed", "0"], "--speed"),
-    (["--shape", "ellipse", "--a", "2", "--b", "1", "--pole", "rim"], "--pole"),
+    (["--shape", "circle", "--radius", "1", "--pole", "rim"], "--pole"),
     (["--shape", "ellipse", "--a", "2"], "--b"),
     (["--shape", "ngon", "--sides", "4"], "--side-length"),
     (["--shape", "ngon", "--sides", "4", "--side-length", "-1"], "--side-length"),
@@ -476,15 +476,49 @@ def test_cli_polar_file_goes_through_the_trace_reader(tmp_path, capsys):
     (["--shape", "circle", "--radius", "1", "--omega", "0", "--periods", "1"], "--periods"),
     (["--shape", "circle", "--radius", "1", "--periods", "-1"], "--periods"),
     (["--shape", "circle", "--radius", "1", "--duration", "-1"], "--duration"),
+    (["--shape", "circle", "--radius", "1", "--omega", "1e-320"], "--periods/--omega"),
+    (["--shape", "ellipse", "--a", "1", "--b", "2"], "--a/--b"),
+    (["--shape", "polar", "--polar-file", "{d}/short.csv"], "--polar-file"),
+    (["--shape", "ngon", "--sides", "2.5", "--circumradius", "1"], "--sides"),
 ])
 def test_cli_direct_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     (tmp_path / "letters.txt").write_text("0 fast\n")
     (tmp_path / "wide.txt").write_text("0 1 2\n")
     (tmp_path / "empty.txt").write_text("# no rows\n")
     (tmp_path / "good.txt").write_text("0 1\n")
+    (tmp_path / "short.csv").write_text("beta,r\n" + "".join(f"{b},1\n" for b in range(10)))
     argv = ["direct", *(a.format(d=tmp_path) for a in args), "--out", str(tmp_path / "t.csv")]
     assert run(argv) == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag, value, why", [
+    *((flag, value, "must be positive and finite") for flag, value in (
+        ("--radius", "-1"), ("--radius", "inf"), ("--a", "0"), ("--b", "nan"), ("--side-length", "-0.0"),
+        ("--circumradius", "-1"), ("--speed", "0"), ("--periods", "inf"), ("--duration", "0"))),
+    *((flag, value, "must be finite") for flag, value in (
+        ("--omega", "nan"), ("--theta0", "-inf"), ("--pole-x", "nan"), ("--pole-y", "inf"))),
+    ("--sides", "2", f"must be from 3 to {cli.MAX_SIDES}"),
+    ("--samples", "1", "must be at least 2"),
+])
+def test_cli_numbers_are_checked_where_parsed(tmp_path, capsys, flag, value, why):
+    out = tmp_path / "t.csv"
+    assert run(["direct", "--shape", "circle", "--radius", "1", f"{flag}={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {why}, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["inverse", "--in", "t.csv", "--n-max", "2"], "--n-max"),
+    (["inverse", "--in", "t.csv", "--n-max", "many"], "--n-max"),
+    (["check", "--radius", "2"], "--radius"),
+    (["check", "--case", "cube"], "--case"),
+])
+def test_cli_inverse_and_check_usage_errors_are_one_line(capsys, argv, flag):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
 
 
 def test_cli_pole_x_y_override_the_default_pole(tmp_path):
@@ -496,8 +530,8 @@ def test_cli_pole_x_y_override_the_default_pole(tmp_path):
     got = read_trace_csv(csv)
     for name in ("z", "y_s", "y_i"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    # --pole rim puts the default pole at (radius, 0); --pole-y still moves it.
-    assert run(["direct", "--shape", "circle", "--radius", "1.5", "--pole", "rim", "--pole-y", "0.5",
+    # A rim pole is --pole-x with the radius.
+    assert run(["direct", "--shape", "circle", "--radius", "1.5", "--pole-x", "1.5", "--pole-y", "0.5",
                 "--samples", "256", "--out", str(csv)]) == 0
     want = trace(SmoothContour.circle(1.5, (1.5, 0.5)), MotionProfile(omega=1.0, film_speed=1.0),
                  TimeGrid(duration=TWO_PI, samples=256))
@@ -534,6 +568,8 @@ def test_run_config_validation(capsys):
     assert run(["render", "--in", "x.csv"]) == 2  # missing --svg
     assert run(["direct", "--shape", "circle", "--radius", "1"]) == 2  # missing --out
     capsys.readouterr()
+    assert run(["direct", "-h"]) == 0  # help still prints the usage
+    assert capsys.readouterr().out.startswith("usage: kinescope direct [-h] --shape")
 
 
 def test_cli_nonconvex_polar_exits_3(tmp_path, capsys):
@@ -546,7 +582,7 @@ def test_cli_nonconvex_polar_exits_3(tmp_path, capsys):
     rc = run(["direct", "--shape", "polar", "--polar-file", str(polar),
               "--duration", "6.0", "--out", str(tmp_path / "t.csv")])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: --polar-file: polar contour is not strictly convex")
 
 
 def test_cli_degenerate_trace_exits_4(tmp_path, capsys):
