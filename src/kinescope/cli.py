@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +56,12 @@ def _checked(kind: type, ok: Callable[[float], bool], why: str) -> Callable[[str
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -5 and -.5 as negative numbers; -1e-3, -inf and
+        # -nan would be read as flags.  No kinescope flag looks like a number.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
     def error(self, message: str):
         # One line, "error: --flag: why", as the commands print their own errors.
         self.exit(2, f"error: {message.removeprefix('argument ')}\n")

@@ -39,7 +39,7 @@ EPS_PARITY = 1e-3
 N_MAX_LIMIT = 298156826
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InverseReport:
     """Result of ``identify``: side count, sizes, parity, motion, fit.
 
@@ -236,15 +236,15 @@ def _aligned_residual(
     That envelope is ``ngon_upper(n, M, theta + phi)``; its phase phi is
     free.  Each maximum of the upper curve is an angle at which a vertex
     points straight up, where theta + phi = pi/n modulo the sector
-    2*pi/n; the circular mean of those phases is the starting phase,
-    which scipy's bounded scalar minimizer polishes within a fiftieth of
-    a sector.
+    2*pi/n; the circular mean of those phases is the starting phase phi0.
+    Near the best phase the squared gap is a parabola in phi, so one
+    parabola through phi0 and phi0 +- a fiftieth of a sector gives a
+    vertex; the gap is taken there too when it lies inside that bracket,
+    and the smallest gap seen is returned, never more than phi0's.
     """
-    from scipy.optimize import minimize_scalar
-
     ysc = img.y_s - midline
     theta = omega_over_v * (img.z - img.z[0])
-    sector = TWO_PI / n
+    step = TWO_PI / n / 50
 
     def gap(phi: float) -> float:
         return _rms(ysc - ngon_upper(n, M, theta + phi))
@@ -252,8 +252,18 @@ def _aligned_residual(
     peak_theta = omega_over_v * (peaks_z - img.z[0])
     # n * (pi/n - theta) wraps the sector once around the unit circle.
     phi0 = float(np.angle(np.mean(np.exp(1j * (math.pi - n * peak_theta))))) / n
-    polished = minimize_scalar(gap, bounds=(phi0 - sector / 50, phi0 + sector / 50), method="bounded")
-    return float(polished.fun)
+    mid, left, right = gap(phi0), gap(phi0 - step), gap(phi0 + step)
+    best = min(mid, left, right)
+    if mid > 0.0:
+        # Squared gaps as ratios to the middle one: no gap is squared, so
+        # none overflows, and a power-of-two scale of the trace leaves the
+        # vertex's bits alone.  An infinite ratio gives a nan vertex, skipped.
+        a, b = (left / mid) * (left / mid), (right / mid) * (right / mid)
+        if a + b > 2.0:
+            vertex = 0.5 * (a - b) / (a + b - 2.0)
+            if -1.0 < vertex < 1.0:
+                best = min(best, gap(phi0 + vertex * step))
+    return best
 
 
 def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:

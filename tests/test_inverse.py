@@ -1,6 +1,7 @@
 import math
+import pickle
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -250,8 +251,9 @@ def test_identify_residual_at_rounding_on_cusp_grid(n, spp):
 def test_identify_residual_finds_the_phase():
     # At a random starting angle the envelope must be re-synthesized at the
     # right phase; with either sign of it flipped the gap is about 0.17 M.
-    # The bounded polish closes the phase to about 1e-5 rad, which bounds
-    # the gap on a noiseless trace.
+    # On a noiseless trace the peaks' phase is already close, the squared
+    # gap is a parabola around it, and one parabolic step lands on the
+    # phase to rounding: the worst of these draws reads about 1e-11 M.
     rng = np.random.default_rng(61)
     for n in range(3, 17):
         for _ in range(3):
@@ -260,7 +262,26 @@ def test_identify_residual_finds_the_phase():
             grid = TimeGrid(duration=16 * TWO_PI / (n * omega), samples=16 * 1000)
             rep = identify(trace(regular_ngon(n, rng.uniform(0.5, 2.0)), motion, grid))
             assert rep.n == n
-            assert rep.residual <= 1e-5 * rep.circumradius_M, f"n={n}"
+            assert rep.residual <= 1e-10 * rep.circumradius_M, f"n={n}"
+
+
+def test_identify_residual_is_the_gap_at_the_best_phase_under_noise():
+    # Noise moves the peaks, so their phase alone can leave the gap a few
+    # percent above its minimum.  The residual must be within 1% of the
+    # smallest RMS gap that a dense scan of phases around theta0 finds.
+    rng = np.random.default_rng(71)
+    for n in (3, 5, 8, 11, 16):
+        R, omega, theta0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI)
+        motion = MotionProfile(omega=omega, film_speed=1.0, theta0=theta0)
+        img = trace(regular_ngon(n, R), motion, TimeGrid(duration=16 * TWO_PI / (n * omega), samples=16 * 64))
+        noise = rng.normal(0.0, 1e-3 * R, (2, len(img)))
+        rep = identify(KinematicImage(img.z, img.y_s + noise[0], img.y_i + noise[1]))
+        s = TWO_PI / n
+        theta = rep.omega_over_v * (img.z - img.z[0])
+        upper = img.y_s + noise[0] - rep.midline
+        gaps = [math.sqrt(np.mean(np.square(upper - rep.circumradius_M * np.cos(np.mod(theta + phi, s) - s / 2))))
+                for phi in theta0 + np.linspace(-s / 20, s / 20, 801)]
+        assert rep.residual <= 1.01 * min(gaps), f"n={n}"
 
 
 def test_identify_gives_a_report_or_value_error_on_any_trace():
@@ -412,3 +433,16 @@ def test_report_validation():
         InverseReport(**{**ok, "residual": -1.0})
     listed = InverseReport(**{**ok, "warnings": ["a", "b"]})
     assert listed.warnings == ("a", "b")
+
+
+def test_report_survives_replace_and_pickle():
+    # The report is a frozen, slotted dataclass whose __post_init__ writes
+    # through object.__setattr__; replace and pickle must still rebuild it.
+    rep = identify(ngon_image(5, 1.3, omega=0.7, duration=6 * TWO_PI / (5 * 0.7)))
+    assert rep.n == 5 and not hasattr(rep, "__dict__")
+    moved = replace(rep, residual=2.0, warnings=["w"])
+    assert (moved.residual, moved.warnings) == (2.0, ("w",))
+    assert moved == replace(rep, residual=2.0, warnings=("w",))
+    assert pickle.loads(pickle.dumps(rep)) == rep
+    with pytest.raises(FrozenInstanceError):
+        rep.n = 6

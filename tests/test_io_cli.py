@@ -509,6 +509,27 @@ def test_cli_numbers_are_checked_where_parsed(tmp_path, capsys, flag, value, why
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--omega", "-1e-3"), ("--pole-x", "-1e0"), ("--omega", "-.5e1"),
+                                         ("--theta0", "-2.5E+1"), ("--pole-y", "-3.")])
+def test_cli_negative_numbers_in_any_float_form_are_values(tmp_path, flag, value):
+    # argparse on its own reads only -5 and -.5 as numbers; "flag value" must
+    # give the same trace as "flag=value", which is never read as a flag.
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    base = ["direct", "--shape", "circle", "--radius", "1", "--samples", "64"]
+    assert run([*base, flag, value, "--out", str(spaced)]) == 0
+    assert run([*base, f"{flag}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--theta0", "-inf"), ("--omega", "-nan"), ("--pole-x", "-Infinity"),
+                                         ("--pole-y", "-1e999")])
+def test_cli_negative_non_finite_values_reach_their_check(tmp_path, capsys, flag, value):
+    out = tmp_path / "t.csv"
+    assert run(["direct", "--shape", "circle", "--radius", "1", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: must be finite, got {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["inverse", "--in", "t.csv", "--n-max", "2"], "--n-max"),
     (["inverse", "--in", "t.csv", "--n-max", "many"], "--n-max"),
@@ -546,6 +567,30 @@ def test_import_kinescope_loads_no_scipy():
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_identify_loads_no_scipy():
+    # The residual's phase is closed by one parabolic step, not a scipy
+    # minimizer; neither the polygon's trace nor identify needs scipy.
+    src = str(Path(kinescope.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import math; import kinescope as k; "
+            "img = k.trace(k.regular_ngon(7, 1.3), k.MotionProfile(omega=0.8, film_speed=1.1, theta0=0.4), "
+            "k.TimeGrid(duration=8 * 2 * math.pi / (7 * 0.8), samples=8000)); "
+            "print(k.identify(img).n, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "7 False"
+
+
+def test_cli_inverse_loads_no_scipy(tmp_path):
+    csv = tmp_path / "square.csv"
+    write_trace_csv(square_image(4096), csv)
+    src = str(Path(kinescope.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from kinescope.cli import run; "
+            f"code = run(['inverse', '--in', {str(csv)!r}]); "
+            "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[0] == "n=4"
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_write_svg_loads_no_masked_arrays(tmp_path):
