@@ -231,15 +231,17 @@ def regular_ngon(n: int, circumradius: float) -> ConvexPolygon:
     return ConvexPolygon(circumradius * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
-def ngon_upper(n: int, circumradius: float, theta):
+def ngon_upper(n: int, circumradius: float, theta, out=None):
     """Upper support height of ``regular_ngon(n, circumradius)`` at theta.
 
     The vertex nearest the top is mod(theta, s) - s/2 off vertical, with
     s = 2*pi/n, so the height is R*cos of that.  The lower curve is
-    ``-ngon_upper(n, R, theta + pi)``.
+    ``-ngon_upper(n, R, theta + pi)``.  ``out``, an array shaped like
+    theta (theta itself is fine), receives the heights in place.
     """
     s = TWO_PI / n
-    return circumradius * np.cos(np.mod(theta, s) - 0.5 * s)
+    h = np.subtract(np.mod(theta, s, out=out), 0.5 * s, out=out)
+    return np.multiply(circumradius, np.cos(h, out=out), out=out)
 
 
 def contour_point(c: SmoothContour, beta):

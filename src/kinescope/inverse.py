@@ -77,11 +77,12 @@ class InverseReport:
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
-def _rms(x: np.ndarray) -> float:
+def _rms(x: np.ndarray, out: Optional[np.ndarray] = None) -> float:
     # Squares past 1e154 overflow; only then is x taken in a power-of-two unit
     # of its size, so every input that does not overflow keeps its bits.
+    # ``out`` (not x itself) takes the squares instead of a new array.
     with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(np.square(x))))
+        rms = float(np.sqrt(np.mean(np.square(x, out=out))))
     if rms == math.inf:
         e = int(np.frexp(np.max(np.abs(x)))[1])
         rms = math.ldexp(float(np.sqrt(np.mean(np.square(np.ldexp(x, -e))))), e)
@@ -218,14 +219,19 @@ def _parity(img: KinematicImage, midline: float, period: float) -> str:
     scan of offsets would).  Under 8 overlapping samples there is no odd
     evidence.  The unshifted score wins ties within EPS_PARITY relative.
     """
-    ysc = img.y_s - midline
-    yic = img.y_i - midline
-    zq = img.z + 0.5 * period
-    keep = zq <= img.z[-1]
-    if int(keep.sum()) < 8:
+    # One block holds the S-long rows (see _aligned_residual).
+    ysc, yic, zq = np.empty((3, len(img)))
+    np.subtract(img.y_s, midline, out=ysc)
+    np.subtract(img.y_i, midline, out=yic)
+    np.add(img.z, 0.5 * period, out=zq)
+    # z increases, so the shifted samples still on the record are a prefix.
+    keep = int(np.searchsorted(zq, img.z[-1], side="right"))
+    if keep < 8:
         return "even"
-    s_odd = _rms(yic[keep] + np.interp(zq[keep], img.z, ysc))
-    return "even" if _rms(yic + ysc) <= s_odd * (1.0 + EPS_PARITY) else "odd"
+    odd = np.interp(zq[:keep], img.z, ysc)
+    s_odd = _rms(np.add(yic[:keep], odd, out=odd), out=zq[:keep])
+    s_even = _rms(np.add(yic, ysc, out=ysc), out=zq)
+    return "even" if s_even <= s_odd * (1.0 + EPS_PARITY) else "odd"
 
 
 def _aligned_residual(
@@ -242,12 +248,19 @@ def _aligned_residual(
     vertex; the gap is taken there too when it lies inside that bracket,
     and the smallest gap seen is returned, never more than phi0's.
     """
-    ysc = img.y_s - midline
-    theta = omega_over_v * (img.z - img.z[0])
+    # The call's S-long rows share one block, filled in place.  As some 30
+    # separate temporaries a call, they were trimmed from the heap and
+    # page-faulted back in on most calls, as often as the heap's layout
+    # allowed, so their cost changed from run to run.  (Freeing one block
+    # past glibc's 128 KiB mmap threshold also raises its trim threshold.)
+    ysc, theta, env, sq = np.empty((4, len(img)))
+    np.subtract(img.y_s, midline, out=ysc)
+    np.multiply(omega_over_v, np.subtract(img.z, img.z[0], out=theta), out=theta)
     step = TWO_PI / n / 50
 
     def gap(phi: float) -> float:
-        return _rms(ysc - ngon_upper(n, M, theta + phi))
+        ngon_upper(n, M, np.add(theta, phi, out=env), out=env)
+        return _rms(np.subtract(ysc, env, out=env), out=sq)
 
     peak_theta = omega_over_v * (peaks_z - img.z[0])
     # n * (pi/n - theta) wraps the sector once around the unit circle.

@@ -294,6 +294,20 @@ def test_ngon_upper_matches_polygon_envelope():
             assert np.max(np.abs(-ngon_upper(n, radius, theta + math.pi) - yi)) < 1e-12
 
 
+def test_ngon_upper_in_place_keeps_the_bits():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-20.0, 20.0, 1001)
+    for n in (3, 7, 64):
+        want = ngon_upper(n, 1.7, theta)
+        out = np.empty_like(theta)
+        assert ngon_upper(n, 1.7, theta, out=out) is out
+        assert np.array_equal(out, want)
+        same = theta.copy()
+        ngon_upper(n, 1.7, same, out=same)
+        assert np.array_equal(same, want)
+        assert ngon_upper(n, 1.7, float(theta[3])) == want[3]
+
+
 def test_smooth_contour_sizes_must_be_positive_and_finite():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):

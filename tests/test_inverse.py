@@ -116,6 +116,28 @@ def test_parity_pentagon_odd():
     assert identify(ngon_image(5)).parity == "odd"
 
 
+def test_parity_scores_are_the_masked_scores_on_uneven_z(monkeypatch):
+    # _parity takes the shifted samples as a prefix of the record; on an
+    # unevenly sampled trace its two scores keep the bits of the boolean-mask
+    # form, yic[keep] + interp(zq[keep]) against yic + ysc.
+    rng = np.random.default_rng(17)
+    for n, period in ((3, 0.7), (4, 0.5), (5, 2.9), (6, 40.0), (7, math.inf)):
+        z = np.cumsum(rng.uniform(0.2, 1.8, 3001)) * 0.01
+        period = min(period, 2.0 * (z[-1] - z[0]))  # the last keeps 1 sample, under 8
+        img = trace(regular_ngon(n, 1.3), MotionProfile(1.0, 1.0), TimeGrid(duration=float(z[-1]), samples=3001))
+        img = KinematicImage(z=z, y_s=img.y_s + rng.normal(0, 1e-3, 3001), y_i=img.y_i)
+        midline = 0.01
+        ysc, yic, zq = img.y_s - midline, img.y_i - midline, img.z + 0.5 * period
+        keep = zq <= img.z[-1]
+        want = [inverse._rms(yic[keep] + np.interp(zq[keep], img.z, ysc)), inverse._rms(yic + ysc)]
+        seen = []
+        rms = inverse._rms
+        monkeypatch.setattr(inverse, "_rms", lambda x, out=None: seen.append(rms(x, out)) or seen[-1])
+        inverse._parity(img, midline, period)
+        monkeypatch.undo()
+        assert seen == (want if keep.sum() >= 8 else [])
+
+
 def test_parity_circle():
     img = trace(SmoothContour.circle(2.0), MotionProfile(1.0, 1.0), TimeGrid(duration=5.0, samples=128))
     assert identify(img).parity == "circle"
