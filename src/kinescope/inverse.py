@@ -186,14 +186,26 @@ def _interior_maxima(img: KinematicImage) -> np.ndarray:
     return np.asarray(peaks_z)
 
 
-def _period(peaks_z: np.ndarray, warnings: list) -> float:
-    """Mean z-distance between successive maxima of the upper curve.
+def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) -> tuple[str, float, float]:
+    """(parity, omega_over_v, residual) of the n-gon fitted to the upper curve's maxima.
 
-    Needs at least two interior maxima, else InsufficientData.  When the
-    individual spacings disagree by more than 1% of their mean, a note is
-    appended to ``warnings``: either the motion was not constant or the
-    record is noisy, and the mean is then only a summary.
+    The period is the mean spacing of the maxima: at least two are needed,
+    else InsufficientData, and spacings that disagree by more than 1% of
+    their mean append a note to ``warnings`` (non-constant motion or a
+    noisy record).  The residual is the RMS gap between the upper curve and
+    ``ngon_upper(n, M, theta + phi)``.  Each maximum is an angle where
+    theta + phi = pi/n modulo the sector 2*pi/n, and the circular mean of
+    those phases is phi0.  Near the best phase the squared gap is a
+    parabola in phi, so one parabola through phi0 and phi0 +- a fiftieth
+    of a sector gives a vertex; the gap is taken there too when it lies
+    inside that bracket, and the smallest gap seen is the residual.  The
+    parity is odd when the lower curve matches the upper one slid by half
+    the period (the peak spacing measures the period far more finely than
+    a scan of offsets would) better than its mirror image, by more than
+    EPS_PARITY relative; under 8 overlapping samples there is no odd
+    evidence.
     """
+    peaks_z = _interior_maxima(img)
     if len(peaks_z) < 2:
         raise InsufficientData(
             f"found {len(peaks_z)} interior maxima; need at least 2 to measure a period"
@@ -207,54 +219,16 @@ def _period(peaks_z: np.ndarray, warnings: list) -> float:
                 f"maxima spacings spread {spread:.2%} of the mean; "
                 "the motion may be non-constant or the record noisy"
             )
-    return period
+    omega_over_v = TWO_PI / (n * period)
 
-
-def _parity(img: KinematicImage, midline: float, period: float) -> str:
-    """Even or odd, from how the lower curve matches the upper one.
-
-    Mirror-image curves mean an even side count; curves that only match
-    after sliding the upper one by half the measured period mean an odd
-    count (the peak spacing measures the period far more finely than a
-    scan of offsets would).  Under 8 overlapping samples there is no odd
-    evidence.  The unshifted score wins ties within EPS_PARITY relative.
-    """
-    # One block holds the S-long rows (see _aligned_residual).
-    ysc, yic, zq = np.empty((3, len(img)))
-    np.subtract(img.y_s, midline, out=ysc)
-    np.subtract(img.y_i, midline, out=yic)
-    np.add(img.z, 0.5 * period, out=zq)
-    # z increases, so the shifted samples still on the record are a prefix.
-    keep = int(np.searchsorted(zq, img.z[-1], side="right"))
-    if keep < 8:
-        return "even"
-    odd = np.interp(zq[:keep], img.z, ysc)
-    s_odd = _rms(np.add(yic[:keep], odd, out=odd), out=zq[:keep])
-    s_even = _rms(np.add(yic, ysc, out=ysc), out=zq)
-    return "even" if s_even <= s_odd * (1.0 + EPS_PARITY) else "odd"
-
-
-def _aligned_residual(
-    img: KinematicImage, n: int, M: float, midline: float, omega_over_v: float, peaks_z: np.ndarray
-) -> float:
-    """RMS gap between the upper curve and a re-synthesized n-gon envelope.
-
-    That envelope is ``ngon_upper(n, M, theta + phi)``; its phase phi is
-    free.  Each maximum of the upper curve is an angle at which a vertex
-    points straight up, where theta + phi = pi/n modulo the sector
-    2*pi/n; the circular mean of those phases is the starting phase phi0.
-    Near the best phase the squared gap is a parabola in phi, so one
-    parabola through phi0 and phi0 +- a fiftieth of a sector gives a
-    vertex; the gap is taken there too when it lies inside that bracket,
-    and the smallest gap seen is returned, never more than phi0's.
-    """
     # The call's S-long rows share one block, filled in place.  As some 30
     # separate temporaries a call, they were trimmed from the heap and
     # page-faulted back in on most calls, as often as the heap's layout
     # allowed, so their cost changed from run to run.  (Freeing one block
     # past glibc's 128 KiB mmap threshold also raises its trim threshold.)
-    ysc, theta, env, sq = np.empty((4, len(img)))
+    ysc, yic, theta, env, sq = np.empty((5, len(img)))
     np.subtract(img.y_s, midline, out=ysc)
+    np.subtract(img.y_i, midline, out=yic)
     np.multiply(omega_over_v, np.subtract(img.z, img.z[0], out=theta), out=theta)
     step = TWO_PI / n / 50
 
@@ -266,7 +240,7 @@ def _aligned_residual(
     # n * (pi/n - theta) wraps the sector once around the unit circle.
     phi0 = float(np.angle(np.mean(np.exp(1j * (math.pi - n * peak_theta))))) / n
     mid, left, right = gap(phi0), gap(phi0 - step), gap(phi0 + step)
-    best = min(mid, left, right)
+    residual = min(mid, left, right)
     if mid > 0.0:
         # Squared gaps as ratios to the middle one: no gap is squared, so
         # none overflows, and a power-of-two scale of the trace leaves the
@@ -275,18 +249,31 @@ def _aligned_residual(
         if a + b > 2.0:
             vertex = 0.5 * (a - b) / (a + b - 2.0)
             if -1.0 < vertex < 1.0:
-                best = min(best, gap(phi0 + vertex * step))
-    return best
+                residual = min(residual, gap(phi0 + vertex * step))
+
+    # The parity adds into ysc, so it comes last; the angles' row takes the
+    # half-period shifted z, and z increases, so the shifted samples still
+    # on the record are a prefix.
+    zq = np.add(img.z, 0.5 * period, out=theta)
+    keep = int(np.searchsorted(zq, img.z[-1], side="right"))
+    if keep < 8:
+        return "even", omega_over_v, residual
+    odd = np.interp(zq[:keep], img.z, ysc)
+    s_odd = _rms(np.add(yic[:keep], odd, out=odd), out=sq[:keep])
+    s_even = _rms(np.add(yic, ysc, out=ysc), out=sq)
+    parity = "even" if s_even <= s_odd * (1.0 + EPS_PARITY) else "odd"
+    return parity, omega_over_v, residual
 
 
 def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
     """Full identification pipeline for a centred regular polygon or circle.
 
     One pass: the extremes and midline come first and settle the side
-    count (or CIRCLE); for a polygon the maxima of the upper curve are
-    found once and give the period, hence the motion ratio, and the
-    phase of the residual against the implied polygon; the parity test
-    reuses the midline and period.  Degenerate or too-short images raise;
+    count (or CIRCLE); for a polygon one fit (``_fit``) finds the maxima
+    of the upper curve once, and on one block of the curves centred on
+    the midline they give the period, hence the motion ratio, the phase
+    of the residual against the implied polygon, and the parity test's
+    half-period shift.  Degenerate or too-short images raise;
     model mismatches that can still be summarized (large midline, parity
     disagreeing with n) come back as warnings on the report instead.
     """
@@ -314,11 +301,7 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
                 f"side-count formula gave {n}; clamped to 3 (m/M is below the triangle ratio)"
             )
             n = 3
-        peaks_z = _interior_maxima(img)
-        period = _period(peaks_z, warnings)
-        parity = _parity(img, midline, period)
-        omega_over_v = TWO_PI / (n * period)
-        residual = _aligned_residual(img, n, M, midline, omega_over_v, peaks_z)
+        parity, omega_over_v, residual = _fit(img, n, M, midline, warnings)
         want = "even" if n % 2 == 0 else "odd"
         if parity != want:
             warnings.append(f"parity test says {parity} but a {n}-gon is {want}")

@@ -117,9 +117,9 @@ def test_parity_pentagon_odd():
 
 
 def test_parity_scores_are_the_masked_scores_on_uneven_z(monkeypatch):
-    # _parity takes the shifted samples as a prefix of the record; on an
-    # unevenly sampled trace its two scores keep the bits of the boolean-mask
-    # form, yic[keep] + interp(zq[keep]) against yic + ysc.
+    # _fit takes the shifted samples as a prefix of the record; on an
+    # unevenly sampled trace its two parity scores keep the bits of the
+    # boolean-mask form, yic[keep] + interp(zq[keep]) against yic + ysc.
     rng = np.random.default_rng(17)
     for n, period in ((3, 0.7), (4, 0.5), (5, 2.9), (6, 40.0), (7, math.inf)):
         z = np.cumsum(rng.uniform(0.2, 1.8, 3001)) * 0.01
@@ -132,10 +132,18 @@ def test_parity_scores_are_the_masked_scores_on_uneven_z(monkeypatch):
         want = [inverse._rms(yic[keep] + np.interp(zq[keep], img.z, ysc)), inverse._rms(yic + ysc)]
         seen = []
         rms = inverse._rms
-        monkeypatch.setattr(inverse, "_rms", lambda x, out=None: seen.append(rms(x, out)) or seen[-1])
-        inverse._parity(img, midline, period)
+        # Two maxima a period apart: the mean spacing is exactly the period.
+        monkeypatch.setattr(inverse, "_interior_maxima", lambda img, _p=period: np.array([0.0, _p]))
+        monkeypatch.setattr(inverse, "_rms", lambda x, out=None: seen.append((len(x), rms(x, out))) or seen[-1][1])
+        inverse._fit(img, n, 1.3, midline, [])
         monkeypatch.undo()
-        assert seen == (want if keep.sum() >= 8 else [])
+        # The odd score is the only score of fewer than S samples, and the even score follows it.
+        short = [k for k, (size, _) in enumerate(seen) if size < len(img)]
+        if keep.sum() < 8:
+            assert short == []
+        else:
+            (k,) = short
+            assert [score for _, score in seen[k:k + 2]] == want
 
 
 def test_parity_circle():
@@ -343,7 +351,7 @@ def test_identify_gives_a_report_or_value_error_on_any_trace():
 
 
 def test_identify_extracts_features_once(monkeypatch):
-    calls = {"extremes": 0, "_interior_maxima": 0}
+    calls = {"extremes": 0, "_interior_maxima": 0, "_fit": 0}
     for name in calls:
         original = getattr(inverse, name)
 
@@ -353,7 +361,7 @@ def test_identify_extracts_features_once(monkeypatch):
 
         monkeypatch.setattr(inverse, name, counted)
     assert identify(ngon_image(5, samples=2048)).n == 5
-    assert calls == {"extremes": 1, "_interior_maxima": 1}
+    assert calls == {"extremes": 1, "_interior_maxima": 1, "_fit": 1}
 
 
 def test_identify_circle():
