@@ -123,7 +123,7 @@ def _read_pairs(path: str, flag: str) -> list[tuple[float, float]]:
     # Piecewise profile table: one 't value' pair per line, '#' comments allowed.
     try:
         text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{flag}: cannot read {path}: {exc}") from None
     pairs = []
     for ln_no, raw in enumerate(text.splitlines(), start=1):

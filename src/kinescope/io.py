@@ -51,10 +51,10 @@ def write_trace_csv(img: KinematicImage, path: PathLike) -> None:
 def _read_table(path: PathLike, header: str) -> np.ndarray:
     """Columns of a comma-separated table under the given header line.
 
-    Blank lines are skipped.  Raises ValueError on an empty file, a
-    wrong header, or a row of the wrong width or with a non-numeric
-    field, naming the file line.  Returns an array of shape (columns,
-    rows).
+    Blank lines are skipped.  Raises ValueError on a non-ASCII or empty
+    file, a wrong header, or a row of the wrong width or with a
+    non-numeric field, naming the file (and the line).  Returns an array
+    of shape (columns, rows).
     """
     names = header.split(",")
     with open(path, encoding="ascii") as f, warnings.catch_warnings():
@@ -69,7 +69,10 @@ def _read_table(path: PathLike, header: str) -> np.ndarray:
             pass
     # Everything else, leading blank lines included, is the loop's to accept
     # or to reject with the line's number.
-    return _read_lines(path, header)
+    try:
+        return _read_lines(path, header)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_lines(path: PathLike, header: str) -> np.ndarray:

@@ -480,6 +480,12 @@ def test_cli_polar_file_goes_through_the_trace_reader(tmp_path, capsys):
     (["--shape", "ellipse", "--a", "1", "--b", "2"], "--a/--b"),
     (["--shape", "polar", "--polar-file", "{d}/short.csv"], "--polar-file"),
     (["--shape", "ngon", "--sides", "2.5", "--circumradius", "1"], "--sides"),
+    # A file that is not ASCII is named with its flag.
+    (["--shape", "circle", "--radius", "1", "--omega-file", "{d}/utf8.txt", "--duration", "1"],
+     "--omega-file: cannot read {d}/utf8.txt"),
+    (["--shape", "circle", "--radius", "1", "--speed-file", "{d}/binary.txt"], "--speed-file: cannot read {d}/binary.txt"),
+    (["--shape", "polar", "--polar-file", "{d}/utf8.csv"], "--polar-file: {d}/utf8.csv"),
+    (["--shape", "polar", "--polar-file", "{d}/binary.csv"], "--polar-file: {d}/binary.csv"),
 ])
 def test_cli_direct_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     (tmp_path / "letters.txt").write_text("0 fast\n")
@@ -487,10 +493,24 @@ def test_cli_direct_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     (tmp_path / "empty.txt").write_text("# no rows\n")
     (tmp_path / "good.txt").write_text("0 1\n")
     (tmp_path / "short.csv").write_text("beta,r\n" + "".join(f"{b},1\n" for b in range(10)))
+    (tmp_path / "utf8.txt").write_bytes("0 1\n1 2 # \u00e9\n".encode("utf-8"))
+    (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\n")
+    (tmp_path / "utf8.csv").write_bytes("beta,r\n0,1 # \u00e9\n".encode("utf-8"))
+    (tmp_path / "binary.csv").write_bytes(b"beta,r\n\xff\n")
     argv = ["direct", *(a.format(d=tmp_path) for a in args), "--out", str(tmp_path / "t.csv")]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
+    assert err.startswith("error: ") and flag.format(d=tmp_path) in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["inverse", "render"])
+@pytest.mark.parametrize("body", [b"z,ys,yi\n0,1,-1 \xc3\xa9\n", b"\xff"])
+def test_cli_non_ascii_trace_names_the_file(tmp_path, capsys, command, body):
+    csv, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+    csv.write_bytes(body)
+    assert run([command, "--in", str(csv), *(["--svg", str(svg)] if command == "render" else [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("flag, value, why", [
