@@ -220,10 +220,10 @@ def regular_ngon(n: int, circumradius: float) -> ConvexPolygon:
     The first vertex sits at angle pi/2 - pi/n so the edge between the
     first two vertices is centred on the +Y axis.  With that phase the
     square of side a has vertices (+-a/2, +-a/2) and its trace starts,
-    at theta = 0, flat side up.
+    at theta = 0, flat side up.  n must be an int or numpy integer.
     """
-    if n < 3:
-        raise ValueError("a polygon needs at least 3 vertices")
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise ValueError(f"a regular polygon needs an integer n >= 3, got {n!r}")
     if not circumradius > 0:
         raise ValueError("circumradius must be positive")
     k = np.arange(n)

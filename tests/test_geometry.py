@@ -266,7 +266,7 @@ def test_regular_ngon_square_and_triangle_coordinates():
     tri = regular_ngon(3, math.sqrt(3.0) / 3.0)
     want = np.array([[0.5, math.sqrt(3) / 6], [-0.5, math.sqrt(3) / 6], [0.0, -math.sqrt(3) / 3]])
     assert np.allclose(tri.vertices, want, atol=1e-15)
-    assert (len(sq), len(tri), len(regular_ngon(11, 1.0))) == (4, 3, 11)
+    assert (len(sq), len(tri), len(regular_ngon(11, 1.0)), len(regular_ngon(np.uint8(5), 1.0))) == (4, 3, 11, 5)
 
 
 def test_regular_ngon_hexagon_apothem():
@@ -281,6 +281,13 @@ def test_regular_ngon_rejects_bad_args():
         regular_ngon(2, 1.0)
     with pytest.raises(ValueError):
         regular_ngon(5, 0.0)
+
+
+@pytest.mark.parametrize("n", [3.5, 4.0, "5", None, True, np.float64(6.0)])
+def test_regular_ngon_requires_an_integer_side_count(n):
+    # 3.5 used to give an irregular quadrilateral at 102.9 degree steps.
+    with pytest.raises(ValueError, match="integer n >= 3"):
+        regular_ngon(n, 1.0)
 
 
 def test_ngon_upper_matches_polygon_envelope():
