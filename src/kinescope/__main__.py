@@ -1,3 +1,4 @@
-from .cli import main
+import sys
+from .cli import run
 
-main()
+sys.exit(run())

@@ -30,7 +30,7 @@ from .geometry import (
     support_heights,
 )
 from .inverse import N_MAX_LIMIT, identify
-from .io import _read_table, format_report, read_trace_csv, write_svg, write_trace_csv
+from .io import _lines, _read_table, format_report, read_trace_csv, write_svg, write_trace_csv
 from .motion import MotionProfile, TimeGrid, integrate
 
 # The size flags each --shape needs; "x|y" takes either one.
@@ -103,40 +103,43 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"sample count (default: 1024 per rotation; at most {MAX_SAMPLES})")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", help="also plot to this SVG path")
+    p.set_defaults(handler=cmd_direct)
 
     p = sub.add_parser("inverse", help="identify a regular polygon or circle from a trace CSV")
     p.add_argument("--in", dest="inp", required=True, help="input trace CSV")
     p.add_argument("--report", help="write the full key=value report here")
     p.add_argument("--n-max", default=64, help=f"largest resolvable side count, 3..{N_MAX_LIMIT}",
                    type=_checked(int, lambda n: 3 <= n <= N_MAX_LIMIT, f"must be from 3 to {N_MAX_LIMIT}"))
+    p.set_defaults(handler=cmd_inverse)
 
     p = sub.add_parser("render", help="replot a trace CSV as SVG")
     p.add_argument("--in", dest="inp", required=True, help="input trace CSV")
     p.add_argument("--svg", required=True, help="output SVG path")
+    p.set_defaults(handler=cmd_render)
 
     p = sub.add_parser("check", help="run the built-in verification suite")
     p.add_argument("--case", choices=list(CHECKS), help="run a single check")
+    p.set_defaults(handler=cmd_check)
     return parser
 
 
 def _read_pairs(path: str, flag: str) -> list[tuple[float, float]]:
     # Piecewise profile table: one 't value' pair per line, '#' comments allowed.
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{flag}: cannot read {path}: {exc}") from None
     pairs = []
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{flag}: {path}:{ln_no}: expected 't value', got '{raw.strip()}'")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ValueError(f"{flag}: {path}:{ln_no}: non-numeric entry") from None
+    try:
+        for ln_no, raw in _lines(path):
+            if not (parts := raw.split("#", 1)[0].split()):
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{ln_no}: expected 't value', got '{raw}'")
+            try:
+                pairs.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValueError(f"{path}:{ln_no}: non-numeric entry") from None
+    except OSError as exc:
+        raise ValueError(f"{flag}: cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
     if not pairs:
         raise ValueError(f"{flag}: {path} holds no samples")
     return pairs
@@ -317,13 +320,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        handler = {
-            "direct": cmd_direct,
-            "inverse": cmd_inverse,
-            "render": cmd_render,
-            "check": cmd_check,
-        }[ns.command]
-        return handler(ns)
+        return ns.handler(ns)
     except ConvexityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -333,11 +330,3 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main() -> None:
-    sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -174,8 +174,8 @@ def oracle_check(case: ClosedFormCase, n_theta: int = 1000) -> float:
     ``closed_form(case, theta)`` at n_theta angles uniform over a full
     turn; the case builds its own shape, so the pair always matches.
     """
-    if n_theta < 1:
-        raise ValueError("n_theta must be >= 1")
+    if not isinstance(n_theta, (int, np.integer)) or n_theta < 1:
+        raise ValueError(f"n_theta must be an integer >= 1, got {n_theta!r}")
     thetas = TWO_PI * np.arange(n_theta) / n_theta
     ys, yi = support_heights(case.shape(), thetas)
     cs, ci = closed_form(case, thetas)

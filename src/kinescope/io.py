@@ -16,7 +16,7 @@ import math
 import warnings
 from array import array
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -68,41 +68,43 @@ def _read_table(path: PathLike, header: str) -> np.ndarray:
         except (ValueError, UserWarning):
             pass
     # Everything else, leading blank lines included, is the loop's to accept
-    # or to reject with the line's number.
-    try:
-        return _read_lines(path, header)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_lines(path: PathLike, header: str) -> np.ndarray:
-    # _read_table one line at a time: slow, but it can say which line is bad.
-    names = header.split(",")
+    # or to reject with the line's number: slow, but it can say which line is bad.
     values = array("d")
-    with open(path, encoding="ascii") as f:
-        rows = ((ln_no, ln) for ln_no, ln in enumerate(map(str.strip, f), start=1) if ln)
-        _, head = next(rows, (0, ""))
-        if not head:
-            raise ValueError(f"{path}: empty file")
-        if [name.strip() for name in head.split(",")] != names:
-            raise ValueError(f"{path}: expected header '{header}', got '{head}'")
-        for ln_no, ln in rows:
-            fields = ln.split(",")
-            if len(fields) != len(names):
-                raise ValueError(f"{path}:{ln_no}: expected {len(names)} comma-separated values")
-            try:
-                values.extend(map(float, fields))
-            except ValueError:
-                raise ValueError(f"{path}:{ln_no}: non-numeric value in '{ln}'") from None
+    rows = _lines(path)
+    _, head = next(rows, (0, ""))
+    if not head:
+        raise ValueError(f"{path}: empty file")
+    if [name.strip() for name in head.split(",")] != names:
+        raise ValueError(f"{path}: expected header '{header}', got '{head}'")
+    for ln_no, ln in rows:
+        fields = ln.split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"{path}:{ln_no}: expected {len(names)} comma-separated values")
+        try:
+            values.extend(map(float, fields))
+        except ValueError:
+            raise ValueError(f"{path}:{ln_no}: non-numeric value in '{ln}'") from None
     return np.frombuffer(values).reshape(-1, len(names)).T
+
+
+def _lines(path: PathLike) -> Iterator[tuple[int, str]]:
+    # (line number, stripped line) for each non-blank line.  A non-ASCII byte
+    # decodes to a lone surrogate, so the line that holds it is named.
+    with open(path, encoding="ascii", errors="surrogateescape") as f:
+        for ln_no, ln in enumerate(f, start=1):
+            if not ln.isascii():
+                raise ValueError(f"{path}:{ln_no}: not ASCII")
+            if ln := ln.strip():
+                yield ln_no, ln
 
 
 def read_trace_csv(path: PathLike) -> KinematicImage:
     """Read a trace CSV back into a KinematicImage.
 
-    Raises ValueError on a wrong header, a malformed row, or data that
-    violates the image invariants (non-increasing z, y_s < y_i), naming
-    the offending line.
+    Raises ValueError on a wrong header, a malformed row, a non-ASCII
+    byte, or data that violates the image invariants (non-increasing z,
+    y_s < y_i).  The message names the file, and the line for a
+    malformed row or a non-ASCII byte.
     """
     z, ys, yi = _read_table(path, CSV_HEADER)
     try:

@@ -92,7 +92,7 @@ def integrate(profile: MotionProfile, t):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling times: ``samples`` points from 0 over a finite ``duration``."""
+    """Uniform sampling times: ``samples`` (an integer >= 2) points from 0 over a finite ``duration``."""
 
     duration: float
     samples: int
@@ -100,8 +100,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.duration < np.inf:
             raise ValueError("duration must be positive and finite")
-        if self.samples < 2:
-            raise ValueError("need at least 2 samples")
+        if not isinstance(self.samples, (int, np.integer)) or self.samples < 2:
+            raise ValueError(f"samples must be an integer >= 2, got {self.samples!r}")
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.duration, self.samples)

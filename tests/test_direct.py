@@ -258,7 +258,7 @@ def test_oracle_check_worked_cases():
         (ClosedFormCase.circle_center(1e6), 1e-12),
     ):
         assert oracle_check(case, 512) / case.a <= tol, case.variant
-    for n_theta in (0, -5):
+    for n_theta in (0, -5, 2.5):
         with pytest.raises(ValueError, match="n_theta"):
             oracle_check(ClosedFormCase.circle_center(1.0), n_theta)
 

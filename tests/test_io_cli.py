@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -119,6 +120,9 @@ def test_csv_reader_names_a_late_line_and_takes_a_late_underscore(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("z,ys,yi\n" + rows + "5000,1,oops\n")
     with pytest.raises(ValueError, match=re.escape(f"{p}:5002: non-numeric value in '5000,1,oops'")):
+        read_trace_csv(p)
+    p.write_bytes(("z,ys,yi\n" + rows).encode("ascii") + b"5000,1,-1 \xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:5002: not ASCII")):
         read_trace_csv(p)
     p.write_text("z,ys,yi\n" + rows + "\t\n5_000,1,-1\n")
     img = read_trace_csv(p)
@@ -480,12 +484,15 @@ def test_cli_polar_file_goes_through_the_trace_reader(tmp_path, capsys):
     (["--shape", "ellipse", "--a", "1", "--b", "2"], "--a/--b"),
     (["--shape", "polar", "--polar-file", "{d}/short.csv"], "--polar-file"),
     (["--shape", "ngon", "--sides", "2.5", "--circumradius", "1"], "--sides"),
-    # A file that is not ASCII is named with its flag.
+    # A file that is not ASCII is named with its flag and the line.
     (["--shape", "circle", "--radius", "1", "--omega-file", "{d}/utf8.txt", "--duration", "1"],
-     "--omega-file: cannot read {d}/utf8.txt"),
-    (["--shape", "circle", "--radius", "1", "--speed-file", "{d}/binary.txt"], "--speed-file: cannot read {d}/binary.txt"),
+     "--omega-file: {d}/utf8.txt:2: not ASCII"),
+    (["--shape", "circle", "--radius", "1", "--speed-file", "{d}/binary.txt"], "--speed-file: {d}/binary.txt:2: not ASCII"),
     (["--shape", "polar", "--polar-file", "{d}/utf8.csv"], "--polar-file: {d}/utf8.csv"),
     (["--shape", "polar", "--polar-file", "{d}/binary.csv"], "--polar-file: {d}/binary.csv"),
+    # A form feed is not a line break, as in the trace reader.
+    (["--shape", "circle", "--radius", "1", "--omega-file", "{d}/formfeed.txt", "--duration", "1"],
+     "--omega-file: {d}/formfeed.txt:1: expected 't value'"),
 ])
 def test_cli_direct_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     (tmp_path / "letters.txt").write_text("0 fast\n")
@@ -497,6 +504,7 @@ def test_cli_direct_usage_errors_name_the_flag(tmp_path, capsys, args, flag):
     (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\n")
     (tmp_path / "utf8.csv").write_bytes("beta,r\n0,1 # \u00e9\n".encode("utf-8"))
     (tmp_path / "binary.csv").write_bytes(b"beta,r\n\xff\n")
+    (tmp_path / "formfeed.txt").write_bytes(b"0 1\f2 3\n")
     argv = ["direct", *(a.format(d=tmp_path) for a in args), "--out", str(tmp_path / "t.csv")]
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -509,8 +517,8 @@ def test_cli_non_ascii_trace_names_the_file(tmp_path, capsys, command, body):
     csv, svg = tmp_path / "t.csv", tmp_path / "t.svg"
     csv.write_bytes(body)
     assert run([command, "--in", str(csv), *(["--svg", str(svg)] if command == "render" else [])]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {csv}: ") and err.count("\n") == 1, err
+    line = 1 if body == b"\xff" else 2
+    assert capsys.readouterr().err == f"error: {csv}:{line}: not ASCII\n"
 
 
 @pytest.mark.parametrize("flag, value, why", [
@@ -625,6 +633,15 @@ def test_write_svg_loads_no_masked_arrays(tmp_path):
             "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_kinescope_exits_with_run_code(tmp_path):
+    src = str(Path(kinescope.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "kinescope", "render", "--in", "missing.csv", "--svg", "out.svg"],
+                         capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert not (tmp_path / "out.svg").exists()
 
 
 def test_run_config_validation(capsys):

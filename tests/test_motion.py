@@ -114,5 +114,7 @@ def test_time_grid():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="duration"):
             TimeGrid(duration=bad, samples=8)
-    with pytest.raises(ValueError):
-        TimeGrid(duration=1.0, samples=1)
+    for bad in (1, 2.5, math.nan, "8"):
+        with pytest.raises(ValueError, match="samples"):
+            TimeGrid(duration=1.0, samples=bad)
+    assert len(TimeGrid(duration=1.0, samples=np.int64(3)).times()) == 3
