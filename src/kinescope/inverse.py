@@ -72,9 +72,11 @@ class InverseReport:
             raise ValueError("report requires 0 < m <= M")
         if self.parity not in ("even", "odd", "circle"):
             raise ValueError("parity must be even, odd, or circle")
-        if self.residual < 0:
+        if not self.residual >= 0:
             raise ValueError("residual must be >= 0")
         object.__setattr__(self, "warnings", tuple(self.warnings))
+        if any(";" in w or "\n" in w for w in self.warnings):
+            raise ValueError("a warning may not contain ';' or a newline")
 
 
 def _rms(x: np.ndarray, out: Optional[np.ndarray] = None) -> float:
@@ -143,14 +145,14 @@ def side_count(m: float, M: float, n_max: int = 64):
     CIRCLE is returned when m/M exceeds cos(pi/n_max): past that point
     one sampling-noise quantum moves the answer by a whole side, so a
     count would be meaningless.  Raises ValueError unless 0 < m <= M and
-    3 <= n_max <= N_MAX_LIMIT (past which cos(pi/n_max) rounds to 1).
+    n_max is an integer from 3 to N_MAX_LIMIT (past it, cos(pi/n_max) is 1).
     """
     if not m > 0:
         raise ValueError("m must be positive")
     if m > M:
         raise ValueError("m must not exceed M")
-    if not 3 <= n_max <= N_MAX_LIMIT:
-        raise ValueError(f"n_max must be at least 3 and at most {N_MAX_LIMIT}")
+    if not isinstance(n_max, (int, np.integer)) or not 3 <= n_max <= N_MAX_LIMIT:
+        raise ValueError(f"n_max must be an integer from 3 to {N_MAX_LIMIT}")
     ratio = m / M
     if ratio > math.cos(math.pi / n_max):
         return CIRCLE
@@ -187,23 +189,21 @@ def _interior_maxima(img: KinematicImage) -> np.ndarray:
 
 
 def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) -> tuple[str, float, float]:
-    """(parity, omega_over_v, residual) of the n-gon fitted to the upper curve's maxima.
+    """(parity, omega_over_v, residual) of the n-gon fitted to the upper curve.
 
-    The period is the mean spacing of the maxima: at least two are needed,
-    else InsufficientData, and spacings that disagree by more than 1% of
-    their mean append a note to ``warnings`` (non-constant motion or a
-    noisy record).  The residual is the RMS gap between the upper curve and
-    ``ngon_upper(n, M, theta + phi)``.  Each maximum is an angle where
-    theta + phi = pi/n modulo the sector 2*pi/n, and the circular mean of
-    those phases is phi0.  Near the best phase the squared gap is a
-    parabola in phi, so one parabola through phi0 and phi0 +- a fiftieth
-    of a sector gives a vertex; the gap is taken there too when it lies
-    inside that bracket, and the smallest gap seen is the residual.  The
-    parity is odd when the lower curve matches the upper one slid by half
-    the period (the peak spacing measures the period far more finely than
-    a scan of offsets would) better than its mirror image, by more than
-    EPS_PARITY relative; under 8 overlapping samples there is no odd
-    evidence.
+    The period is the mean spacing of the upper curve's maxima: at least
+    two are needed, else InsufficientData, and spacings that disagree by
+    more than 1% of their mean append a note to ``warnings`` (non-constant
+    motion or a noisy record).  The parity is odd when the lower curve
+    matches the upper one slid by half the period better than its mirror
+    image, by more than EPS_PARITY relative; under 8 overlapping samples
+    there is no odd evidence.  The upper curve over M is fitted by least
+    squares to c + ngon_upper(n, R, a*t + phi), t = (z - z0)/span: from
+    c = 0, R = 1, the period's a and the maxima's phase phi0 (their
+    circular mean, at a*t + phi = pi/n modulo 2*pi/n), two Gauss-Newton
+    steps on the start's Jacobian rows (1, cos u, t sin u, sin u) give
+    omega_over_v = |a|/span and the residual, the fit's RMS times M.
+    Rows too few to fix four parameters keep the start.
     """
     peaks_z = _interior_maxima(img)
     if len(peaks_z) < 2:
@@ -216,64 +216,65 @@ def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) 
         spread = float(spacings.max() - spacings.min()) / period
         if spread > 0.01:
             warnings.append(
-                f"maxima spacings spread {spread:.2%} of the mean; "
-                "the motion may be non-constant or the record noisy"
+                f"maxima spacings spread {spread:.2%} of the mean, "
+                "so the motion may be non-constant or the record noisy"
             )
-    omega_over_v = TWO_PI / (n * period)
 
     # The call's S-long rows share one block, filled in place.  As some 30
     # separate temporaries a call, they were trimmed from the heap and
     # page-faulted back in on most calls, as often as the heap's layout
     # allowed, so their cost changed from run to run.  (Freeing one block
     # past glibc's 128 KiB mmap threshold also raises its trim threshold.)
-    ysc, yic, theta, env, sq = np.empty((5, len(img)))
+    block = np.empty((9, len(img)))
+    ysc, yic, t, r, sq, jac = *block[:5], block[5:]
     np.subtract(img.y_s, midline, out=ysc)
     np.subtract(img.y_i, midline, out=yic)
-    np.multiply(omega_over_v, np.subtract(img.z, img.z[0], out=theta), out=theta)
-    step = TWO_PI / n / 50
 
-    def gap(phi: float) -> float:
-        ngon_upper(n, M, np.add(theta, phi, out=env), out=env)
-        return _rms(np.subtract(ysc, env, out=env), out=sq)
-
-    peak_theta = omega_over_v * (peaks_z - img.z[0])
-    # n * (pi/n - theta) wraps the sector once around the unit circle.
-    phi0 = float(np.angle(np.mean(np.exp(1j * (math.pi - n * peak_theta))))) / n
-    mid, left, right = gap(phi0), gap(phi0 - step), gap(phi0 + step)
-    residual = min(mid, left, right)
-    if mid > 0.0:
-        # Squared gaps as ratios to the middle one: no gap is squared, so
-        # none overflows, and a power-of-two scale of the trace leaves the
-        # vertex's bits alone.  An infinite ratio gives a nan vertex, skipped.
-        a, b = (left / mid) * (left / mid), (right / mid) * (right / mid)
-        if a + b > 2.0:
-            vertex = 0.5 * (a - b) / (a + b - 2.0)
-            if -1.0 < vertex < 1.0:
-                residual = min(residual, gap(phi0 + vertex * step))
-
-    # The parity adds into ysc, so it comes last; the angles' row takes the
-    # half-period shifted z, and z increases, so the shifted samples still
-    # on the record are a prefix.
-    zq = np.add(img.z, 0.5 * period, out=theta)
+    # The half-period shifted z increases, so the samples still on the
+    # record are a prefix.
+    zq = np.add(img.z, 0.5 * period, out=t)
     keep = int(np.searchsorted(zq, img.z[-1], side="right"))
-    if keep < 8:
-        return "even", omega_over_v, residual
-    odd = np.interp(zq[:keep], img.z, ysc)
-    s_odd = _rms(np.add(yic[:keep], odd, out=odd), out=sq[:keep])
-    s_even = _rms(np.add(yic, ysc, out=ysc), out=sq)
-    parity = "even" if s_even <= s_odd * (1.0 + EPS_PARITY) else "odd"
-    return parity, omega_over_v, residual
+    parity = "even"
+    if keep >= 8:
+        odd = np.interp(zq[:keep], img.z, ysc)
+        s_odd = _rms(np.add(yic[:keep], odd, out=odd), out=sq[:keep])
+        if not _rms(np.add(yic, ysc, out=r), out=sq) <= s_odd * (1.0 + EPS_PARITY):
+            parity = "odd"
+
+    span = float(img.z[-1] - img.z[0])
+    omega_over_v = TWO_PI / (n * period)
+    # At each maximum, n * (pi/n - theta) wraps the sector once around the unit circle.
+    phi = float(np.angle(np.mean(np.exp(1j * (math.pi - n * omega_over_v * (peaks_z - img.z[0])))))) / n
+    c, R, a, s = 0.0, 1.0, omega_over_v * span, TWO_PI / n
+    # Over M no sum of the fit overflows, and a power-of-two scale of the
+    # trace keeps every bit.  The a and phi columns are -t*sin(u), -sin(u).
+    y = np.divide(ysc, M, out=ysc)
+    np.divide(np.subtract(img.z, img.z[0], out=t), span, out=t)
+    u = np.subtract(np.mod(np.add(np.multiply(a, t, out=r), phi, out=r), s, out=r), 0.5 * s, out=r)
+    jac[0] = 1.0
+    np.multiply(t, np.sin(u, out=jac[3]), out=jac[2])
+    np.subtract(y, np.cos(u, out=jac[1]), out=r)
+    try:
+        inv = np.linalg.inv(jac @ jac.T)
+    except np.linalg.LinAlgError:  # rows too few to fix four parameters
+        inv = np.zeros((4, 4))  # zero steps keep the start
+    for _ in range(2):
+        dc, dR, da, dphi = inv @ (jac @ r)
+        c, R, a, phi = c + dc, R + dR, a - da, phi - dphi
+        ngon_upper(n, R, np.add(np.multiply(a, t, out=r), phi, out=r), out=r)
+        np.subtract(np.subtract(y, c, out=sq), r, out=r)
+    return parity, abs(a) / span, M * _rms(r, out=sq)
 
 
 def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
     """Full identification pipeline for a centred regular polygon or circle.
 
     One pass: the extremes and midline come first and settle the side
-    count (or CIRCLE); for a polygon one fit (``_fit``) finds the maxima
-    of the upper curve once, and on one block of the curves centred on
-    the midline they give the period, hence the motion ratio, the phase
-    of the residual against the implied polygon, and the parity test's
-    half-period shift.  Degenerate or too-short images raise;
+    count (or CIRCLE); for a polygon ``_fit`` finds the maxima of the
+    upper curve once, and on one block of the curves centred on the
+    midline they give the parity test's half-period shift and the start
+    of one least-squares fit of the n-gon, which gives the motion ratio
+    and the residual.  Degenerate or too-short images raise;
     model mismatches that can still be summarized (large midline, parity
     disagreeing with n) come back as warnings on the report instead.
     """
@@ -281,7 +282,7 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
     m, M, midline = extremes(img)
     if abs(midline) > 1e-6 * M:
         warnings.append(
-            f"midline {midline:.6g} exceeds 1e-6 of M; the pole may not be the centroid"
+            f"midline {midline:.6g} exceeds 1e-6 of M, so the pole may not be the centroid"
         )
     if not m > 0:
         raise InsufficientData(
@@ -298,7 +299,7 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
     else:
         if n < 3:
             warnings.append(
-                f"side-count formula gave {n}; clamped to 3 (m/M is below the triangle ratio)"
+                f"side-count formula gave {n}, clamped to 3 (m/M is below the triangle ratio)"
             )
             n = 3
         parity, omega_over_v, residual = _fit(img, n, M, midline, warnings)

@@ -173,8 +173,8 @@ def format_report(rep: InverseReport) -> str:
     """Serialize an InverseReport as key=value lines.
 
     Keys, in order: n, parity, m, M, midline, omega_over_v, residual,
-    warnings (semicolon-joined), then the rounding diagnostics n_raw and
-    n_raw_delta (distance from n_raw to the nearest integer).
+    warnings (joined by ';', which no warning holds), then the rounding
+    diagnostics n_raw and n_raw_delta (n_raw's distance to an integer).
     """
     delta = math.nan if not math.isfinite(rep.n_raw) else abs(rep.n_raw - round(rep.n_raw))
     lines = [

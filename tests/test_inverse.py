@@ -92,6 +92,12 @@ def test_side_count_rejects_bad_inputs():
         side_count(1.1, 1.0)
     with pytest.raises(ValueError):
         side_count(0.5, 1.0, n_max=2)
+    for n_max in (10.5, 64.0):
+        with pytest.raises(ValueError, match="integer"):
+            side_count(0.9, 1.0, n_max=n_max)
+        with pytest.raises(ValueError, match="integer"):
+            identify(ngon_image(4, samples=512), n_max=n_max)
+    assert side_count(0.9, 1.0, n_max=np.int64(10)) == 7
 
 
 def test_side_count_rejects_n_max_past_circle_gate():
@@ -281,9 +287,8 @@ def test_identify_residual_at_rounding_on_cusp_grid(n, spp):
 def test_identify_residual_finds_the_phase():
     # At a random starting angle the envelope must be re-synthesized at the
     # right phase; with either sign of it flipped the gap is about 0.17 M.
-    # On a noiseless trace the peaks' phase is already close, the squared
-    # gap is a parabola around it, and one parabolic step lands on the
-    # phase to rounding: the worst of these draws reads about 1e-11 M.
+    # On a noiseless trace the peaks' phase and period are already close,
+    # and the fit closes both to rounding: these draws read about 2e-15 M.
     rng = np.random.default_rng(61)
     for n in range(3, 17):
         for _ in range(3):
@@ -292,13 +297,45 @@ def test_identify_residual_finds_the_phase():
             grid = TimeGrid(duration=16 * TWO_PI / (n * omega), samples=16 * 1000)
             rep = identify(trace(regular_ngon(n, rng.uniform(0.5, 2.0)), motion, grid))
             assert rep.n == n
-            assert rep.residual <= 1e-10 * rep.circumradius_M, f"n={n}"
+            assert rep.residual <= 1e-13 * rep.circumradius_M, f"n={n}"
 
 
-def test_identify_residual_is_the_gap_at_the_best_phase_under_noise():
+def test_identify_is_exact_on_coarse_noiseless_traces():
+    # 8 samples per side: the maxima's spacing is off by up to 1e-5 here,
+    # and the fit must still close the period and the residual to rounding.
+    rng = np.random.default_rng(73)
+    for n in range(3, 17):
+        for _ in range(3):
+            R, omega, speed = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            motion = MotionProfile(omega=omega, film_speed=speed, theta0=rng.uniform(0.0, TWO_PI))
+            grid = TimeGrid(duration=16 * TWO_PI / (n * omega), samples=16 * 8)
+            rep = identify(trace(regular_ngon(n, R), motion, grid))
+            assert rep.n == n
+            assert rep.residual <= 1e-12 * rep.circumradius_M, f"n={n}"
+            assert abs(rep.omega_over_v * speed / omega - 1.0) <= 1e-12, f"n={n}"
+
+
+@pytest.mark.parametrize("rel", [1e-4, 1e-3])
+def test_identify_residual_is_the_noise_level(rel):
+    # On a right side count the fitted RMS leaves the noise alone: its
+    # standard deviation sigma, up to the draw.
+    rng = np.random.default_rng(79)
+    for n in range(3, 11):
+        for spp in (8, 64):
+            R, omega, speed = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            motion = MotionProfile(omega=omega, film_speed=speed, theta0=rng.uniform(0.0, TWO_PI))
+            img = trace(regular_ngon(n, R), motion, TimeGrid(duration=16 * TWO_PI / (n * omega), samples=16 * spp))
+            noise = rng.normal(0.0, rel * R, (2, len(img)))
+            rep = identify(KinematicImage(img.z, img.y_s + noise[0], img.y_i + noise[1]))
+            assert rep.n == n
+            assert 0.8 <= rep.residual / (rel * R) <= 1.25, f"n={n} spp={spp}"
+
+
+def test_identify_residual_is_the_fitted_rms_under_noise():
     # Noise moves the peaks, so their phase alone can leave the gap a few
     # percent above its minimum.  The residual must be within 1% of the
-    # smallest RMS gap that a dense scan of phases around theta0 finds.
+    # smallest RMS gap that a dense scan of phases around theta0 finds, and
+    # it must be the noise's sigma to within 10%.
     rng = np.random.default_rng(71)
     for n in (3, 5, 8, 11, 16):
         R, omega, theta0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI)
@@ -312,6 +349,7 @@ def test_identify_residual_is_the_gap_at_the_best_phase_under_noise():
         gaps = [math.sqrt(np.mean(np.square(upper - rep.circumradius_M * np.cos(np.mod(theta + phi, s) - s / 2))))
                 for phi in theta0 + np.linspace(-s / 20, s / 20, 801)]
         assert rep.residual <= 1.01 * min(gaps), f"n={n}"
+        assert 0.9 <= rep.residual / (1e-3 * R) <= 1.1, f"n={n}"
 
 
 def test_identify_gives_a_report_or_value_error_on_any_trace():
@@ -345,9 +383,11 @@ def test_identify_gives_a_report_or_value_error_on_any_trace():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                identify(img)
+                rep = identify(img)
             except ValueError:
-                pass
+                continue
+        assert math.isfinite(rep.residual), i
+        assert rep.n == CIRCLE or math.isfinite(rep.omega_over_v), i
 
 
 def test_identify_extracts_features_once(monkeypatch):
@@ -459,10 +499,14 @@ def test_report_validation():
         InverseReport(**{**ok, "apothem_m": 0.9})
     with pytest.raises(ValueError):
         InverseReport(**{**ok, "parity": "sideways"})
-    with pytest.raises(ValueError):
-        InverseReport(**{**ok, "residual": -1.0})
+    for residual in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            InverseReport(**{**ok, "residual": residual})
     listed = InverseReport(**{**ok, "warnings": ["a", "b"]})
     assert listed.warnings == ("a", "b")
+    for bad in ("a; b", "a\nb"):
+        with pytest.raises(ValueError, match="warning"):
+            InverseReport(**{**ok, "warnings": ["a", bad]})
 
 
 def test_report_survives_replace_and_pickle():

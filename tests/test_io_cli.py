@@ -255,6 +255,17 @@ def test_format_report_keys_and_parsability():
     assert float(fields["n_raw_delta"]) < 1e-9
 
 
+def test_format_report_warnings_split_back():
+    # A spun-up square lifted off its pole draws two warnings, and the
+    # warnings= line must split back into exactly those two.
+    motion = MotionProfile(omega=[(0.0, 1.0), (TWO_PI, 3.0)], film_speed=1.0)
+    img = trace(regular_ngon(4, 1.0), motion, TimeGrid(duration=2 * TWO_PI, samples=8192))
+    rep = identify(KinematicImage(z=img.z, y_s=img.y_s + 0.1, y_i=img.y_i + 0.1))
+    assert len(rep.warnings) == 2
+    fields = dict(ln.split("=", 1) for ln in format_report(rep).splitlines())
+    assert fields["warnings"].split(";") == list(rep.warnings)
+
+
 def test_format_report_circle():
     from kinescope import CIRCLE, SmoothContour
 
