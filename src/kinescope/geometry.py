@@ -231,17 +231,26 @@ def regular_ngon(n: int, circumradius: float) -> ConvexPolygon:
     return ConvexPolygon(circumradius * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
+def _sector_offset(n: int, theta, out=None, floor_out=None):
+    f = np.divide(theta, TWO_PI / n, out=out)
+    f -= np.floor(f, out=floor_out)
+    f -= 0.5
+    f *= TWO_PI / n
+    return f
+
+
 def ngon_upper(n: int, circumradius: float, theta, out=None):
     """Upper support height of ``regular_ngon(n, circumradius)`` at theta.
 
-    The vertex nearest the top is mod(theta, s) - s/2 off vertical, with
-    s = 2*pi/n, so the height is R*cos of that.  The lower curve is
-    ``-ngon_upper(n, R, theta + pi)``.  ``out``, an array shaped like
-    theta (theta itself is fine), receives the heights in place.
+    The vertex nearest the top is u = mod(theta, s) - s/2 off vertical,
+    s = 2*pi/n, so the height is R*cos(u); u is taken as s*(f - floor(f)
+    - 1/2), f = theta/s, within 1 ulp of max(|theta|, 1).  The lower
+    curve is ``-ngon_upper(n, R, theta + pi)``.  ``out``, an array shaped
+    like theta (theta itself is fine), receives the heights in place.
     """
-    s = TWO_PI / n
-    h = np.subtract(np.mod(theta, s, out=out), 0.5 * s, out=out)
-    return np.multiply(circumradius, np.cos(h, out=out), out=out)
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise ValueError(f"a regular polygon needs an integer n >= 3, got {n!r}")
+    return np.multiply(circumradius, np.cos(_sector_offset(n, theta, out), out=out), out=out)
 
 
 def contour_point(c: SmoothContour, beta):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .direct import KinematicImage
 from .errors import DegenerateImage, InsufficientData
-from .geometry import TWO_PI, ngon_upper
+from .geometry import TWO_PI, _sector_offset, ngon_upper
 
 # Sentinel side count for images whose m/M ratio is beyond the resolvable
 # polygon range.  Compared with `is` or `==`; it is a plain string so it
@@ -201,9 +201,9 @@ def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) 
     squares to c + ngon_upper(n, R, a*t + phi), t = (z - z0)/span: from
     c = 0, R = 1, the period's a and the maxima's phase phi0 (their
     circular mean, at a*t + phi = pi/n modulo 2*pi/n), two Gauss-Newton
-    steps on the start's Jacobian rows (1, cos u, t sin u, sin u) give
-    omega_over_v = |a|/span and the residual, the fit's RMS times M.
-    Rows too few to fix four parameters keep the start.
+    steps on the start's Jacobian rows (1, cos u, t sin u, sin u), with u
+    ngon_upper's sector offset, give omega_over_v = |a|/span and the
+    residual, the fit's RMS times M; rows too few for four keep the start.
     """
     peaks_z = _interior_maxima(img)
     if len(peaks_z) < 2:
@@ -245,12 +245,13 @@ def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) 
     omega_over_v = TWO_PI / (n * period)
     # At each maximum, n * (pi/n - theta) wraps the sector once around the unit circle.
     phi = float(np.angle(np.mean(np.exp(1j * (math.pi - n * omega_over_v * (peaks_z - img.z[0])))))) / n
-    c, R, a, s = 0.0, 1.0, omega_over_v * span, TWO_PI / n
+    c, R, a = 0.0, 1.0, omega_over_v * span
     # Over M no sum of the fit overflows, and a power-of-two scale of the
-    # trace keeps every bit.  The a and phi columns are -t*sin(u), -sin(u).
+    # trace keeps every bit.  u is ngon_upper's sector offset (sq takes its
+    # floor); the a and phi columns are -t*sin(u), -sin(u).
     y = np.divide(ysc, M, out=ysc)
     np.divide(np.subtract(img.z, img.z[0], out=t), span, out=t)
-    u = np.subtract(np.mod(np.add(np.multiply(a, t, out=r), phi, out=r), s, out=r), 0.5 * s, out=r)
+    u = _sector_offset(n, np.add(np.multiply(a, t, out=r), phi, out=r), out=r, floor_out=sq)
     jac[0] = 1.0
     np.multiply(t, np.sin(u, out=jac[3]), out=jac[2])
     np.subtract(y, np.cos(u, out=jac[1]), out=r)

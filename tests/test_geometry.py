@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -283,11 +284,15 @@ def test_regular_ngon_rejects_bad_args():
         regular_ngon(5, 0.0)
 
 
-@pytest.mark.parametrize("n", [3.5, 4.0, "5", None, True, np.float64(6.0)])
+@pytest.mark.parametrize("n", [0, 2.5, 3.5, 4.0, "5", None, True, np.float64(6.0)])
 def test_regular_ngon_requires_an_integer_side_count(n):
     # 3.5 used to give an irregular quadrilateral at 102.9 degree steps.
+    # ngon_upper(0, ...) divided by zero and ngon_upper(2.5, ...) drew a
+    # curve that no polygon makes.
     with pytest.raises(ValueError, match="integer n >= 3"):
         regular_ngon(n, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"integer n >= 3, got {n!r}")):
+        ngon_upper(n, 1.0, np.linspace(0.0, 1.0, 5))
 
 
 def test_ngon_upper_matches_polygon_envelope():
@@ -313,6 +318,30 @@ def test_ngon_upper_in_place_keeps_the_bits():
         ngon_upper(n, 1.7, same, out=same)
         assert np.array_equal(same, want)
         assert ngon_upper(n, 1.7, float(theta[3])) == want[3]
+
+
+@pytest.mark.parametrize("n", [3, 7, 64, 2**20])
+def test_ngon_upper_reduction_is_within_two_ulps(n):
+    # The sector offset is reduced through floor(theta/s), not by an exact
+    # remainder; against math.fmod's exact one it stays within 2 ulps of
+    # max(|theta|, 1), far out, near zero and on either side of each k*s.
+    rng = np.random.default_rng(n)
+    s, radius = TWO_PI / n, 1.7
+    k = np.concatenate([np.arange(-40, 41), rng.integers(-int(1e6 / s), int(1e6 / s), 200)])
+    ks = k * s
+    theta = np.concatenate([
+        rng.uniform(-1e6, 1e6, 2000),
+        rng.uniform(-20.0, 20.0, 2000),
+        ks,
+        np.nextafter(ks, -np.inf),
+        np.nextafter(ks, np.inf),
+    ])
+    exact = []
+    for x in theta:
+        r = math.fmod(x, s)
+        exact.append(radius * math.cos((r + s if r < 0 else r) - s / 2))
+    err = np.abs(ngon_upper(n, radius, theta) - exact)
+    assert np.all(err <= 2.0 * radius * np.spacing(np.maximum(np.abs(theta), 1.0)))
 
 
 def test_smooth_contour_sizes_must_be_positive_and_finite():

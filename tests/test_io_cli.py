@@ -609,8 +609,9 @@ def test_import_kinescope_loads_no_scipy():
 
 
 def test_identify_loads_no_scipy():
-    # The residual's phase is closed by one parabolic step, not a scipy
-    # minimizer; neither the polygon's trace nor identify needs scipy.
+    # The motion ratio and the residual come from numpy's least squares
+    # (two Gauss-Newton steps), not a scipy minimizer; neither the
+    # polygon's trace nor identify needs scipy.
     src = str(Path(kinescope.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import math; import kinescope as k; "
             "img = k.trace(k.regular_ngon(7, 1.3), k.MotionProfile(omega=0.8, film_speed=1.1, theta0=0.4), "
