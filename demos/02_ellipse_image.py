@@ -30,7 +30,7 @@ write_svg(img, out / "ellipse.svg")
 want = np.sqrt(a * a * np.sin(img.z) ** 2 + b * b * np.cos(img.z) ** 2)
 print("max |Y_s - closed form| over the trace: %.3e" % np.max(np.abs(img.y_s - want)))
 print("oracle_check on 512 angles:             %.3e"
-      % oracle_check(ClosedFormCase.ellipse_center(a, b), 512))
+      % oracle_check(ClosedFormCase.ellipse_center(a, b)))
 print("height swings between 2b = %.1f and 2a = %.1f: [%.6f, %.6f]"
       % (2 * b, 2 * a, (img.y_s - img.y_i).min(), (img.y_s - img.y_i).max()))
 print("wrote", out / "ellipse.csv", "and", out / "ellipse.svg")

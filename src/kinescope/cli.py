@@ -228,7 +228,7 @@ def cmd_render(ns: argparse.Namespace) -> int:
 
 
 def _check_closed_form(case: ClosedFormCase) -> tuple[float, str]:
-    return oracle_check(case, n_theta=512) / case.a, "max |generic - closed form| / a"
+    return oracle_check(case) / case.a, "max |generic - closed form| / a"
 
 
 def _random_ellipse(rng: np.random.Generator) -> SmoothContour:

@@ -31,6 +31,9 @@ from .motion import MotionProfile, TimeGrid, integrate
 
 VARIANTS = ("circle_center", "circle_rim", "ellipse_center", "square_center", "triangle_center")
 
+# Angles over a full turn at which ``oracle_check`` compares the two paths.
+ORACLE_ANGLES = 512
+
 
 @dataclass(frozen=True, eq=False)
 class KinematicImage:
@@ -85,7 +88,7 @@ class ClosedFormCase:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        # The conic formula squares a; a float multiply overflows to inf.
+        # Sizes stop where a*a overflows; no worked case needs a larger one.
         if not (self.a > 0 and self.a * self.a < math.inf):
             raise ValueError("dimension a must be positive, with a finite square")
         if self.variant == "ellipse_center":
@@ -151,9 +154,9 @@ def closed_form(case: ClosedFormCase, theta):
     Each case is one of two support functions.  The square and the
     triangle use the regular n-gon's ``ngon_upper``, whose lower curve is
     the upper one half a turn on.  The conics use the centred ellipse's
-    sqrt(a^2 sin^2 + b^2 cos^2), with b = a for both circles, and are
-    symmetric.  A rim pole lifts both curves by a*sin(theta).  Angles are
-    reduced to [0, 2*pi) first, so the result is exactly 2*pi-periodic.
+    hypot(a sin, b cos), with b = a for both circles, and are symmetric.
+    A rim pole lifts both curves by a*sin(theta).  Angles are reduced to
+    [0, 2*pi) first, so the result is exactly 2*pi-periodic.
     """
     th = reduce_angle(np.asarray(theta, dtype=float))
     a = case.a
@@ -162,21 +165,19 @@ def closed_form(case: ClosedFormCase, theta):
         up, down = ngon_upper(n, R, th), ngon_upper(n, R, th + math.pi)
     else:
         b = case.b if case.variant == "ellipse_center" else a
-        up = down = np.sqrt(a**2 * np.sin(th) ** 2 + b**2 * np.cos(th) ** 2)
+        up = down = np.hypot(a * np.sin(th), b * np.cos(th))
     lift = a * np.sin(th) if case.variant == "circle_rim" else 0.0
     return lift + up, lift - down
 
 
-def oracle_check(case: ClosedFormCase, n_theta: int = 1000) -> float:
+def oracle_check(case: ClosedFormCase) -> float:
     """Worst componentwise gap between the generic path and the closed form.
 
     Compares ``support_heights(case.shape(), theta)`` with
-    ``closed_form(case, theta)`` at n_theta angles uniform over a full
-    turn; the case builds its own shape, so the pair always matches.
+    ``closed_form(case, theta)`` at ORACLE_ANGLES angles uniform over a
+    full turn; the case builds its own shape, so the pair always matches.
     """
-    if not isinstance(n_theta, (int, np.integer)) or n_theta < 1:
-        raise ValueError(f"n_theta must be an integer >= 1, got {n_theta!r}")
-    thetas = TWO_PI * np.arange(n_theta) / n_theta
+    thetas = TWO_PI * np.arange(ORACLE_ANGLES) / ORACLE_ANGLES
     ys, yi = support_heights(case.shape(), thetas)
     cs, ci = closed_form(case, thetas)
     return float(max(np.max(np.abs(ys - cs)), np.max(np.abs(yi - ci))))

@@ -80,15 +80,8 @@ class InverseReport:
 
 
 def _rms(x: np.ndarray, out: Optional[np.ndarray] = None) -> float:
-    # Squares past 1e154 overflow; only then is x taken in a power-of-two unit
-    # of its size, so every input that does not overflow keeps its bits.
     # ``out`` (not x itself) takes the squares instead of a new array.
-    with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(np.square(x, out=out))))
-    if rms == math.inf:
-        e = int(np.frexp(np.max(np.abs(x)))[1])
-        rms = math.ldexp(float(np.sqrt(np.mean(np.square(np.ldexp(x, -e))))), e)
-    return rms
+    return float(np.sqrt(np.mean(np.square(x, out=out))))
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, k: int) -> tuple[float, float]:
@@ -194,14 +187,15 @@ def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) 
     The period is the mean spacing of the upper curve's maxima: at least
     two are needed, else InsufficientData, and spacings that disagree by
     more than 1% of their mean append a note to ``warnings`` (non-constant
-    motion or a noisy record).  The parity is odd when the lower curve
-    matches the upper one slid by half the period better than its mirror
-    image, by more than EPS_PARITY relative; under 8 overlapping samples
-    there is no odd evidence.  The upper curve over M is fitted by least
-    squares to c + ngon_upper(n, R, a*t + phi), t = (z - z0)/span: from
-    c = 0, R = 1, the period's a and the maxima's phase phi0 (their
-    circular mean, at a*t + phi = pi/n modulo 2*pi/n), two Gauss-Newton
-    steps on the start's Jacobian rows (1, cos u, t sin u, sin u), with u
+    motion or a noisy record).  Both curves are centred on the midline
+    and taken over M.  The parity is odd when the lower curve matches the
+    upper one slid by half the period better than its mirror image, by
+    more than EPS_PARITY relative; under 8 overlapping samples there is
+    no odd evidence.  The upper curve is fitted by least squares to
+    c + ngon_upper(n, R, a*t + phi), t = (z - z0)/span: from c = 0,
+    R = 1, the period's a and the maxima's phase phi0 (their circular
+    mean, at a*t + phi = pi/n modulo 2*pi/n), two Gauss-Newton steps on
+    the start's Jacobian rows (1, cos u, t sin u, sin u), with u
     ngon_upper's sector offset, give omega_over_v = |a|/span and the
     residual, the fit's RMS times M; rows too few for four keep the start.
     """
@@ -227,8 +221,10 @@ def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) 
     # past glibc's 128 KiB mmap threshold also raises its trim threshold.)
     block = np.empty((9, len(img)))
     ysc, yic, t, r, sq, jac = *block[:5], block[5:]
-    np.subtract(img.y_s, midline, out=ysc)
-    np.subtract(img.y_i, midline, out=yic)
+    # Over M the curves lie in [-1, 1]: no square below overflows or loses
+    # the trace to underflow, and a power-of-two scale keeps every bit.
+    np.divide(np.subtract(img.y_s, midline, out=ysc), M, out=ysc)
+    np.divide(np.subtract(img.y_i, midline, out=yic), M, out=yic)
 
     # The half-period shifted z increases, so the samples still on the
     # record are a prefix.
@@ -246,15 +242,13 @@ def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) 
     # At each maximum, n * (pi/n - theta) wraps the sector once around the unit circle.
     phi = float(np.angle(np.mean(np.exp(1j * (math.pi - n * omega_over_v * (peaks_z - img.z[0])))))) / n
     c, R, a = 0.0, 1.0, omega_over_v * span
-    # Over M no sum of the fit overflows, and a power-of-two scale of the
-    # trace keeps every bit.  u is ngon_upper's sector offset (sq takes its
-    # floor); the a and phi columns are -t*sin(u), -sin(u).
-    y = np.divide(ysc, M, out=ysc)
+    # u is ngon_upper's sector offset (sq takes its floor); the a and phi
+    # columns are -t*sin(u), -sin(u).
     np.divide(np.subtract(img.z, img.z[0], out=t), span, out=t)
     u = _sector_offset(n, np.add(np.multiply(a, t, out=r), phi, out=r), out=r, floor_out=sq)
     jac[0] = 1.0
     np.multiply(t, np.sin(u, out=jac[3]), out=jac[2])
-    np.subtract(y, np.cos(u, out=jac[1]), out=r)
+    np.subtract(ysc, np.cos(u, out=jac[1]), out=r)
     try:
         inv = np.linalg.inv(jac @ jac.T)
     except np.linalg.LinAlgError:  # rows too few to fix four parameters
@@ -263,7 +257,7 @@ def _fit(img: KinematicImage, n: int, M: float, midline: float, warnings: list) 
         dc, dR, da, dphi = inv @ (jac @ r)
         c, R, a, phi = c + dc, R + dR, a - da, phi - dphi
         ngon_upper(n, R, np.add(np.multiply(a, t, out=r), phi, out=r), out=r)
-        np.subtract(np.subtract(y, c, out=sq), r, out=r)
+        np.subtract(np.subtract(ysc, c, out=sq), r, out=r)
     return parity, abs(a) / span, M * _rms(r, out=sq)
 
 
@@ -272,12 +266,12 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
 
     One pass: the extremes and midline come first and settle the side
     count (or CIRCLE); for a polygon ``_fit`` finds the maxima of the
-    upper curve once, and on one block of the curves centred on the
-    midline they give the parity test's half-period shift and the start
-    of one least-squares fit of the n-gon, which gives the motion ratio
-    and the residual.  Degenerate or too-short images raise;
-    model mismatches that can still be summarized (large midline, parity
-    disagreeing with n) come back as warnings on the report instead.
+    upper curve once, and on one block of the curves, centred on the
+    midline and taken over M, they give the parity test's half-period
+    shift and the start of one least-squares fit of the n-gon, which
+    gives the motion ratio and the residual.  Degenerate or too-short
+    images raise; model mismatches that can still be summarized (large
+    midline, parity disagreeing with n) come back as warnings instead.
     """
     warnings: list[str] = []
     m, M, midline = extremes(img)
@@ -296,7 +290,7 @@ def identify(img: KinematicImage, n_max: int = 64) -> InverseReport:
     if n == CIRCLE:
         parity = "circle"
         omega_over_v = math.nan
-        residual = _rms(img.y_s - (midline + M))
+        residual = M * _rms((img.y_s - midline) / M - 1.0)
     else:
         if n < 3:
             warnings.append(

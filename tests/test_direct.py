@@ -232,22 +232,12 @@ def test_closed_form_reduces_angle():
 
 
 def test_oracle_check_worked_cases():
-    # The default sizes, then all five variants at other sizes, at the
-    # tolerances of ``kinescope check``.
-    for case, n_theta, tol in (
-        (ClosedFormCase.circle_center(1.0), 64, 1e-12),
-        (ClosedFormCase.square_center(1.0), 500, 1e-12),
-        (ClosedFormCase.ellipse_center(2.0, 1.0), 200, 1e-8),
-        (ClosedFormCase.circle_center(0.7), 64, 1e-12),
-        (ClosedFormCase.circle_rim(2.5), 300, 1e-8),
-        (ClosedFormCase.ellipse_center(3.0, 1.5), 200, 1e-8),
-        (ClosedFormCase.square_center(3.0), 500, 1e-12),
-        (ClosedFormCase.triangle_center(2.5), 500, 1e-12),
-    ):
-        assert oracle_check(case, n_theta) < tol, case.variant
     # ``kinescope check``'s measure, the gap over 512 angles relative to a,
-    # holds at the same tolerances from small sizes to large ones.
+    # holds at its tolerances from tiny sizes to large ones.
     for case, tol in (
+        (ClosedFormCase.circle_center(1.0), 1e-12),
+        (ClosedFormCase.square_center(1.0), 1e-12),
+        (ClosedFormCase.ellipse_center(2.0, 1.0), 1e-8),
         (ClosedFormCase.ellipse_center(3.0, 1.5), 1e-8),
         (ClosedFormCase.circle_rim(2.5), 1e-8),
         (ClosedFormCase.square_center(3.0), 1e-12),
@@ -256,11 +246,13 @@ def test_oracle_check_worked_cases():
         (ClosedFormCase.square_center(1e6), 1e-12),
         (ClosedFormCase.triangle_center(1e5), 1e-12),
         (ClosedFormCase.circle_center(1e6), 1e-12),
+        # Below 1e-154 the squares of a and b underflow; the closed form
+        # takes no square of its own.
+        (ClosedFormCase.circle_center(1e-200), 1e-12),
+        (ClosedFormCase.circle_rim(2.5e-200), 1e-8),
+        (ClosedFormCase.ellipse_center(3e-200, 1.5e-200), 1e-8),
     ):
-        assert oracle_check(case, 512) / case.a <= tol, case.variant
-    for n_theta in (0, -5, 2.5):
-        with pytest.raises(ValueError, match="n_theta"):
-            oracle_check(ClosedFormCase.circle_center(1.0), n_theta)
+        assert oracle_check(case) / case.a <= tol, case.variant
 
 
 def test_closed_form_case_shape_geometry():

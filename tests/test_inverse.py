@@ -125,15 +125,16 @@ def test_parity_pentagon_odd():
 def test_parity_scores_are_the_masked_scores_on_uneven_z(monkeypatch):
     # _fit takes the shifted samples as a prefix of the record; on an
     # unevenly sampled trace its two parity scores keep the bits of the
-    # boolean-mask form, yic[keep] + interp(zq[keep]) against yic + ysc.
+    # boolean-mask form, yic[keep] + interp(zq[keep]) against yic + ysc,
+    # with both curves centred on the midline and taken over M.
     rng = np.random.default_rng(17)
     for n, period in ((3, 0.7), (4, 0.5), (5, 2.9), (6, 40.0), (7, math.inf)):
         z = np.cumsum(rng.uniform(0.2, 1.8, 3001)) * 0.01
         period = min(period, 2.0 * (z[-1] - z[0]))  # the last keeps 1 sample, under 8
         img = trace(regular_ngon(n, 1.3), MotionProfile(1.0, 1.0), TimeGrid(duration=float(z[-1]), samples=3001))
         img = KinematicImage(z=z, y_s=img.y_s + rng.normal(0, 1e-3, 3001), y_i=img.y_i)
-        midline = 0.01
-        ysc, yic, zq = img.y_s - midline, img.y_i - midline, img.z + 0.5 * period
+        midline, M = 0.01, 1.3
+        ysc, yic, zq = (img.y_s - midline) / M, (img.y_i - midline) / M, img.z + 0.5 * period
         keep = zq <= img.z[-1]
         want = [inverse._rms(yic[keep] + np.interp(zq[keep], img.z, ysc)), inverse._rms(yic + ysc)]
         seen = []
@@ -141,7 +142,7 @@ def test_parity_scores_are_the_masked_scores_on_uneven_z(monkeypatch):
         # Two maxima a period apart: the mean spacing is exactly the period.
         monkeypatch.setattr(inverse, "_interior_maxima", lambda img, _p=period: np.array([0.0, _p]))
         monkeypatch.setattr(inverse, "_rms", lambda x, out=None: seen.append((len(x), rms(x, out))) or seen[-1][1])
-        inverse._fit(img, n, 1.3, midline, [])
+        inverse._fit(img, n, M, midline, [])
         monkeypatch.undo()
         # The odd score is the only score of fewer than S samples, and the even score follows it.
         short = [k for k, (size, _) in enumerate(seen) if size < len(img)]
@@ -157,9 +158,10 @@ def test_parity_circle():
     assert identify(img).parity == "circle"
 
 
-@pytest.mark.parametrize("k", [-60, -40, 0, 100, 300, 511, 1000])
+@pytest.mark.parametrize("k", [-900, -600, -540, -60, -40, 0, 100, 300, 511, 1000])
 def test_identify_is_exact_under_power_of_two_scaling(k):
     # A tiny image is scaled, not flat: only an exactly flat one is degenerate.
+    # Below 2**-520 or so the squares of raw heights underflow; over M they do not.
     img = ngon_image(5)
     base = identify(img)
     rep = identify(KinematicImage(z=np.ldexp(img.z, k), y_s=np.ldexp(img.y_s, k), y_i=np.ldexp(img.y_i, k)))
@@ -386,8 +388,16 @@ def test_identify_gives_a_report_or_value_error_on_any_trace():
                 rep = identify(img)
             except ValueError:
                 continue
+            # The same trace with heights in [0.5, 1) reads the same: the
+            # answer does not depend on the unit of length.
+            e = -int(np.frexp(np.max(np.abs(img.y_s)))[1])
+            unit = identify(KinematicImage(z=z, y_s=np.ldexp(img.y_s, e), y_i=np.ldexp(img.y_i, e)))
         assert math.isfinite(rep.residual), i
         assert rep.n == CIRCLE or math.isfinite(rep.omega_over_v), i
+        # The midline warning prints the raw midline.
+        notes = [tuple("midline" if w.startswith("midline ") else w for w in r.warnings) for r in (rep, unit)]
+        assert (unit.n, unit.parity, notes[1]) == (rep.n, rep.parity, notes[0]), i
+        assert unit.residual == math.ldexp(rep.residual, e), i
 
 
 def test_identify_extracts_features_once(monkeypatch):
@@ -413,6 +423,14 @@ def test_identify_circle():
     assert abs(rep.apothem_m - 0.7) < 1e-12
     assert abs(rep.circumradius_M - 0.7) < 1e-12
     assert rep.residual < 1e-12
+    # A noisy circle's residual scales exactly with the trace, also where the
+    # squares of its raw heights would underflow.
+    noise = np.random.default_rng(3).normal(0.0, 1e-6, (2, len(img)))
+    noisy = KinematicImage(img.z, img.y_s + noise[0], img.y_i + noise[1])
+    base = identify(noisy)
+    assert base.n == CIRCLE and 1e-6 < base.residual < 1e-5
+    tiny = identify(KinematicImage(*(np.ldexp(v, -600) for v in (noisy.z, noisy.y_s, noisy.y_i))))
+    assert tiny.n == CIRCLE and tiny.residual == math.ldexp(base.residual, -600)
 
 
 def test_identify_scale_invariance():
